@@ -17,7 +17,10 @@ main baseline.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from itertools import repeat
+from typing import Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from repro.core.base import (
     BatchResult,
@@ -26,28 +29,16 @@ from repro.core.base import (
     DriftType,
     as_value_array,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SnapshotError
 
 __all__ = ["Adwin"]
 
-
-class _Bucket:
-    """One exponential-histogram bucket: a summary of ``2**level`` elements."""
-
-    __slots__ = ("total", "variance")
-
-    def __init__(self, total: float = 0.0, variance: float = 0.0) -> None:
-        self.total = total
-        self.variance = variance
-
-
-class _BucketRow:
-    """All buckets of one size level, newest last."""
-
-    __slots__ = ("buckets",)
-
-    def __init__(self) -> None:
-        self.buckets: List[_Bucket] = []
+#: Check-clock ticks whose cut tests one block of ``update_batch`` evaluates
+#: together; caps the ``(ticks x buckets)`` work arrays.
+_TICK_BLOCK = 256
+#: Cut tests one pass of :meth:`Adwin._shrink_while_cut` evaluates together:
+#: the window as it is and after each of the next ``_DROP_ROWS - 1`` drops.
+_DROP_ROWS = 8
 
 
 class Adwin(DriftDetector):
@@ -93,7 +84,11 @@ class Adwin(DriftDetector):
         self._init_state()
 
     def _init_state(self) -> None:
-        self._rows: List[_BucketRow] = [_BucketRow()]
+        # The exponential histogram: per size level (bucket size 2**level),
+        # the bucket totals and variances, oldest bucket first.  Levels are
+        # never removed; an emptied top level stays in ``state_dict()``.
+        self._totals: List[List[float]] = [[]]
+        self._variances: List[List[float]] = [[]]
         self._width = 0
         self._total = 0.0
         self._variance = 0.0
@@ -150,18 +145,14 @@ class Adwin(DriftDetector):
     def update_batch(
         self, values: Iterable[float], collect_stats: bool = False
     ) -> BatchResult:
-        """Chunked update, bit-identical to the scalar loop.
+        """Block-vectorised update, bit-identical to the scalar loop.
 
-        ADWIN's exponential histogram is inherently sequential (every insert
-        can cascade compressions and every cut shrinks the window), so the
-        batch cannot be expressed in closed form.  Instead the per-element
-        work is run in a tight loop that keeps the running ``width`` /
-        ``total`` / ``variance`` in locals, inlines the level-0 insert,
-        invokes bucket compression only when level 0 actually overflows, and
-        synchronises with the instance state only at check-clock ticks —
-        eliminating the per-element ``DetectionResult``/statistics-dict
-        allocations and attribute traffic of the scalar path while driving
-        the bucket structure through exactly the same sequence of states.
+        A block of values is advanced in one go by :meth:`_advance_block`:
+        running aggregates from seeded cumulative sums, the histogram's
+        buckets level by level, and the cut tests of every check-clock tick
+        in the block as one ``(ticks x buckets)`` array.  The first tick
+        whose test cuts ends the block; the window is shrunk there exactly
+        as in scalar mode and the next block starts after it.
         """
         if collect_stats or type(self)._update_one is not Adwin._update_one:
             return super().update_batch(values, collect_stats=collect_stats)
@@ -170,64 +161,28 @@ class Adwin(DriftDetector):
         if n == 0:
             return BatchResult(0)
         drift_indices: List[int] = []
-
-        rows = self._rows
-        row0_buckets = rows[0].buckets
-        compress_trigger = self._max_buckets + 1
         clock = self._clock
-        min_check = self._min_n_for_check
-        ticks = self._ticks
-        width = self._width
-        total = self._total
-        variance = self._variance
-
-        for index, value in enumerate(arr.tolist()):
-            # Inline _insert_element on the local running aggregates.
-            row0_buckets.insert(0, _Bucket(total=value, variance=0.0))
-            if width > 0:
-                mean = total / width
-                variance += (width * (value - mean) ** 2) / (width + 1)
-            width += 1
-            total += value
-            if len(row0_buckets) > compress_trigger:
-                # Inline the level-0 merge (the overwhelmingly common case:
-                # two single-element buckets, size 1, variance 0) and cascade
-                # into _compress_buckets only when level 1 overflows too.
-                # _compress_buckets never touches the running aggregates, so
-                # they stay in locals.
-                if len(rows) < 2:
-                    rows.append(_BucketRow())
-                next_buckets = rows[1].buckets
-                older = row0_buckets.pop()
-                newer = row0_buckets.pop()
-                merged_variance = (
-                    older.variance
-                    + newer.variance
-                    + 0.5 * (older.total - newer.total) ** 2
+        position = 0
+        block_ticks = _TICK_BLOCK
+        with np.errstate(all="ignore"):
+            while position < n:
+                # A block ends on a tick, or with the input, or after
+                # _BATCH_CHUNK values (which bounds its memory for long clocks).
+                length = min(
+                    clock - self._ticks % clock + (block_ticks - 1) * clock,
+                    self._BATCH_CHUNK,
                 )
-                next_buckets.insert(
-                    0,
-                    _Bucket(
-                        total=older.total + newer.total, variance=merged_variance
-                    ),
-                )
-                if len(next_buckets) > compress_trigger:
-                    self._compress_buckets(level=1)
-            ticks += 1
-            if ticks % clock == 0 and width >= min_check:
-                self._width = width
-                self._total = total
-                self._variance = variance
-                if self._detect_and_shrink():
-                    drift_indices.append(index)
-                width = self._width
-                total = self._total
-                variance = self._variance
+                block = arr[position : position + length]
+                consumed, drift = self._advance_block(block)
+                position += consumed
+                if drift:
+                    drift_indices.append(position - 1)
+                    # Cuts come in bursts at consecutive ticks: test the next
+                    # tick on its own before returning to long blocks.
+                    block_ticks = 1
+                else:
+                    block_ticks = _TICK_BLOCK
 
-        self._width = width
-        self._total = total
-        self._variance = variance
-        self._ticks = ticks
         return self._finish_batch(
             n, drift_indices, list(drift_indices), DriftType.MEAN
         )
@@ -249,12 +204,12 @@ class Adwin(DriftDetector):
         }
 
     def _state_dict(self) -> dict:
-        # The exponential histogram, level by level (newest bucket first
-        # within a level, mirroring the in-memory order).
+        # The exponential histogram, level by level, newest bucket first
+        # within a level.
         return {
             "rows": [
-                [[bucket.total, bucket.variance] for bucket in row.buckets]
-                for row in self._rows
+                [[total, variance] for total, variance in zip(reversed(totals), reversed(variances))]
+                for totals, variances in zip(self._totals, self._variances)
             ],
             "width": self._width,
             "total": self._total,
@@ -263,17 +218,17 @@ class Adwin(DriftDetector):
         }
 
     def _load_state(self, state: dict) -> None:
-        rows: List[_BucketRow] = []
-        for row_payload in state["rows"]:
-            row = _BucketRow()
-            row.buckets = [
-                _Bucket(total=float(total), variance=float(variance))
-                for total, variance in row_payload
-            ]
-            rows.append(row)
-        if not rows:
-            rows = [_BucketRow()]
-        self._rows = rows
+        rows = [row[::-1] for row in state["rows"]] or [[]]
+        for level, row in enumerate(rows):
+            # Compression keeps every level at max_buckets + 1 or fewer, and
+            # the batched update relies on it.
+            if len(row) > self._max_buckets + 1:
+                raise SnapshotError(
+                    f"ADWIN level {level} holds {len(row)} buckets; at most "
+                    f"max_buckets + 1 = {self._max_buckets + 1} are possible"
+                )
+        self._totals = [[float(total) for total, _ in row] for row in rows]
+        self._variances = [[float(variance) for _, variance in row] for row in rows]
         self._width = int(state["width"])
         self._total = float(state["total"])
         self._variance = float(state["variance"])
@@ -282,44 +237,74 @@ class Adwin(DriftDetector):
     # ----------------------------------------------------------- internals
 
     def _insert_element(self, value: float) -> None:
-        row0 = self._rows[0]
-        row0.buckets.insert(0, _Bucket(total=value, variance=0.0))
+        self._totals[0].append(value)
+        self._variances[0].append(0.0)
         if self._width > 0:
             mean = self._total / self._width
             self._variance += (self._width * (value - mean) ** 2) / (self._width + 1)
         self._width += 1
         self._total += value
 
-    def _compress_buckets(self, level: int = 0) -> None:
-        while level < len(self._rows):
-            row = self._rows[level]
-            if len(row.buckets) <= self._max_buckets + 1:
+    def _compress_buckets(self) -> None:
+        level = 0
+        while level < len(self._totals):
+            totals = self._totals[level]
+            if len(totals) <= self._max_buckets + 1:
                 break
-            if level + 1 >= len(self._rows):
-                self._rows.append(_BucketRow())
-            next_row = self._rows[level + 1]
+            if level + 1 >= len(self._totals):
+                self._totals.append([])
+                self._variances.append([])
+            variances = self._variances[level]
             # Merge the two oldest buckets of this level into one of the next.
-            older = row.buckets.pop()
-            newer = row.buckets.pop()
             size = float(2 ** level)
-            mean_older = older.total / size
-            mean_newer = newer.total / size
+            older, newer = totals[0], totals[1]
+            mean_older = older / size
+            mean_newer = newer / size
             merged_variance = (
-                older.variance
-                + newer.variance
+                variances[0]
+                + variances[1]
                 + size * size / (2.0 * size) * (mean_older - mean_newer) ** 2
             )
-            next_row.buckets.insert(
-                0, _Bucket(total=older.total + newer.total, variance=merged_variance)
-            )
+            del totals[:2], variances[:2]
+            self._totals[level + 1].append(older + newer)
+            self._variances[level + 1].append(merged_variance)
             level += 1
 
-    def _iter_buckets_oldest_first(self):
-        """Yield ``(size, bucket)`` pairs from the oldest to the newest."""
-        for level in range(len(self._rows) - 1, -1, -1):
+    def _running_aggregates(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Window ``total`` and ``variance`` after each insert of ``values``.
+
+        Bit-identical to repeated :meth:`_insert_element` calls: both
+        recurrences are cumulative sums seeded with the running value, so the
+        additions happen in the scalar order.  The squares go through
+        Python's float ``**`` because ``libm`` ``pow`` is not always the
+        correctly rounded ``x * x`` numpy would use.
+        """
+        count = values.shape[0]
+        width = self._width
+        totals = np.empty(count + 1)
+        totals[0] = self._total
+        totals[1:] = values
+        np.add.accumulate(totals, out=totals)
+        widths = np.arange(width, width + count, dtype=np.float64)
+        deviations = values - totals[:-1] / widths
+        squares = np.fromiter(map(pow, deviations.tolist(), repeat(2)), np.float64, count)
+        variances = np.empty(count + 1)
+        variances[0] = self._variance
+        variances[1:] = widths * squares / (widths + 1.0)
+        if width == 0:
+            # The first insert into an empty window leaves the variance alone.
+            variances[1] = self._variance
+            np.add.accumulate(variances[1:], out=variances[1:])
+        else:
+            np.add.accumulate(variances, out=variances)
+        return totals[1:], variances[1:]
+
+    def _iter_buckets_oldest_first(self) -> Iterator[Tuple[int, float]]:
+        """Yield ``(size, total)`` pairs from the oldest to the newest bucket."""
+        for level in range(len(self._totals) - 1, -1, -1):
             size = 2 ** level
-            for bucket in reversed(self._rows[level].buckets):
-                yield size, bucket
+            for total in self._totals[level]:
+                yield size, total
 
     def _detect_and_shrink(self) -> bool:
         """Run the adjacent-sub-window cut test; shrink the window on drift."""
@@ -333,11 +318,11 @@ class Adwin(DriftDetector):
             sum1 = self._total
             buckets = list(self._iter_buckets_oldest_first())
             # The newest bucket can never be the whole right-hand window.
-            for size, bucket in buckets[:-1]:
+            for size, total in buckets[:-1]:
                 n0 += size
-                sum0 += bucket.total
+                sum0 += total
                 n1 -= size
-                sum1 -= bucket.total
+                sum1 -= total
                 if n0 < self._min_window_length or n1 < self._min_window_length:
                     continue
                 mean0 = sum0 / n0
@@ -348,6 +333,236 @@ class Adwin(DriftDetector):
                     self._drop_oldest_bucket()
                     break
         return drift_detected
+
+    def _advance_block(self, values: np.ndarray) -> Tuple[int, bool]:
+        """Feed ``values`` up to and including the first tick that cuts.
+
+        Returns how many values were consumed and whether the last of them
+        was a drift (the window is then already shrunk).  The ticks before
+        the block's last value are tested together on their bucket layouts;
+        the first one that cuts, or else a tick on the last value, is tested
+        again by :meth:`_shrink_while_cut` in the histogram state of that
+        tick, which also does the shrinking.
+        """
+        count = values.shape[0]
+        clock = self._clock
+        ticks = np.arange(clock - 1 - self._ticks % clock, count, clock)
+        ticks = ticks[self._width + ticks + 1 >= self._min_n_for_check]
+        # Histogram states are taken at every checked tick and at block end.
+        positions = np.append(ticks, count - 1)
+        levels = self._bucket_schedule(values, positions + 1)
+        window_totals, window_variances = self._running_aggregates(values)
+
+        rows = ticks.shape[0] - (ticks.shape[0] > 0 and ticks[-1] == count - 1)
+        row = -1
+        if rows:
+            cuts = self._cut_rows(
+                *self._layouts(levels, rows),
+                self._width + ticks[:rows] + 1,
+                window_totals[ticks[:rows]],
+                window_variances[ticks[:rows]],
+            )
+            if cuts.any():
+                row = int(np.argmax(cuts))
+
+        end = int(positions[row])
+        self._set_buckets(levels, row)
+        self._width += end + 1
+        self._total = float(window_totals[end])
+        self._variance = float(window_variances[end])
+        self._ticks += end + 1
+        drift = (row >= 0 or rows < ticks.shape[0]) and self._shrink_while_cut() > 0
+        return end + 1, drift
+
+    def _bucket_schedule(self, values: np.ndarray, inserted: np.ndarray) -> list:
+        """Every histogram state of a block, for the levels the block reaches.
+
+        ``inserted`` holds how many of ``values`` have been inserted at each
+        state of interest.  A level that receives buckets merges its two
+        oldest whenever it holds ``max_buckets + 2``; so the buckets it ever
+        holds in the block form one history (its buckets at block start, then
+        the arrivals in order), it always merges that history's front pairs,
+        and after ``a`` arrivals it has merged
+        ``max(0, (start + a - max_buckets) // 2)`` pairs.  Each state of a
+        level is therefore a slice of its history, and the merged pairs are
+        the next level's arrivals.  Levels above the last one that receives
+        buckets keep their state through the block.
+
+        Returns, per level from 0, ``(history of bucket totals, buckets at
+        block start, merged pairs, arrivals)``, the last two with one entry
+        per state: the state's slice of the history is
+        ``[2 * merged, start + arrivals)``.  Bucket variances
+        are only needed for the state the block stops at, so
+        :meth:`_set_buckets` computes them then.
+        """
+        max_buckets = self._max_buckets
+        levels = []
+        incoming = values
+        arrived = inserted
+        level = 0
+        while incoming.shape[0]:
+            start = len(self._totals[level]) if level < len(self._totals) else 0
+            history = np.concatenate((self._totals[level], incoming)) if start else incoming
+            merged = arrived + (start - max_buckets)
+            np.maximum(merged, 0, out=merged)
+            merged //= 2
+            levels.append((history, start, merged, arrived))
+            pairs = 2 * int(merged[-1])
+            incoming = history[0:pairs:2] + history[1:pairs:2]
+            arrived = merged
+            level += 1
+        return levels
+
+    def _set_buckets(self, levels: list, row: int) -> None:
+        """Move the histogram to state ``row`` of :meth:`_bucket_schedule`,
+        merging the bucket variances on the way exactly as
+        :meth:`_compress_buckets` does."""
+        incoming: List[float] = [0.0] * int(levels[0][3][row])
+        for level, (history, start, merged, arrived) in enumerate(levels):
+            if level == len(self._totals):
+                if not arrived[row]:
+                    return
+                self._totals.append([])
+                self._variances.append([])
+            begin = 2 * int(merged[row])
+            totals = history[: start + int(arrived[row])].tolist()
+            variances = self._variances[level] + incoming
+            size = float(2 ** level)
+            factor = size * size / (2.0 * size)
+            incoming = [
+                older_variance
+                + newer_variance
+                + factor * (older / size - newer / size) ** 2
+                for older, newer, older_variance, newer_variance in zip(
+                    totals[0:begin:2],
+                    totals[1:begin:2],
+                    variances[0:begin:2],
+                    variances[1:begin:2],
+                )
+            ]
+            self._totals[level] = totals[begin:]
+            self._variances[level] = variances[begin:]
+
+    def _layouts(self, levels: list, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first ``rows`` states of :meth:`_bucket_schedule` as padded
+        ``(rows x buckets)`` arrays of bucket totals and sizes, oldest bucket
+        first, plus each row's bucket count."""
+        histories = [history for history, _, _, _ in levels]
+        begins = [2 * merged[:rows] for _, _, merged, _ in levels]
+        ends = [start + arrived[:rows] for _, start, _, arrived in levels]
+        for static in self._totals[len(levels) :]:
+            histories.append(np.asarray(static, dtype=np.float64))
+            begins.append(np.zeros(rows, dtype=np.intp))
+            ends.append(np.full(rows, len(static)))
+        # Oldest first: from the top level down.
+        histories.reverse()
+        lengths = np.asarray([history.shape[0] for history in histories])
+        offsets = np.cumsum(lengths) - lengths
+        starts = np.stack(begins[::-1], axis=1) + offsets
+        counts = (np.stack(ends[::-1], axis=1) + offsets - starts).ravel()
+        gather = np.arange(int(counts.sum())) + np.repeat(
+            starts.ravel() - (np.cumsum(counts) - counts), counts
+        )
+        buckets = counts.reshape(rows, -1).sum(axis=1)
+        filled = np.arange(int(buckets.max())) < buckets[:, None]
+        totals = np.zeros(filled.shape)
+        totals[filled] = np.concatenate(histories)[gather]
+        sizes = np.zeros(filled.shape)
+        sizes[filled] = np.repeat(2.0 ** np.arange(len(histories) - 1, -1, -1), lengths)[gather]
+        return totals, sizes, buckets
+
+    def _shrink_while_cut(self) -> int:
+        """:meth:`_detect_and_shrink` on the current window: drop the oldest
+        bucket while the cut test cuts; returns the number of drops.
+
+        The tests after zero, one, ... drops are the rows of one
+        :meth:`_cut_rows` call (up to ``_DROP_ROWS`` of them): the remaining
+        buckets are suffixes of the current ones, and the window aggregates
+        after each drop follow from :func:`_without_bucket`.
+        """
+        dropped = 0
+        while True:
+            totals = [total for level in reversed(self._totals) for total in level]
+            count = len(totals)
+            if count < 2:
+                return dropped
+            rows = min(count, _DROP_ROWS)
+            variances = [variance for level in reversed(self._variances) for variance in level]
+            sizes = [
+                2 ** level
+                for level in range(len(self._totals) - 1, -1, -1)
+                for _ in self._totals[level]
+            ]
+            state = (self._width, self._total, self._variance)
+            states = [state]
+            for drop in range(rows - 1):
+                state = _without_bucket(*state, sizes[drop], totals[drop], variances[drop])
+                states.append(state)
+            widths, window_totals, window_variances = (np.asarray(column) for column in zip(*states))
+            # Row ``d`` holds the buckets left after ``d`` drops.
+            suffix = np.arange(rows)[:, None] + np.arange(count)
+            cuts = self._cut_rows(
+                np.asarray(totals + [0.0] * rows)[suffix],
+                np.asarray(sizes + [0] * rows, dtype=np.float64)[suffix],
+                count - np.arange(rows),
+                widths,
+                window_totals,
+                window_variances,
+            )
+            drops = rows if cuts.all() else int(np.argmin(cuts))
+            for _ in range(drops):
+                self._drop_oldest_bucket()
+            dropped += drops
+            if drops < rows:
+                return dropped
+
+    def _cut_rows(
+        self,
+        totals: np.ndarray,
+        sizes: np.ndarray,
+        lengths: np.ndarray,
+        widths: np.ndarray,
+        window_totals: np.ndarray,
+        window_variances: np.ndarray,
+    ) -> np.ndarray:
+        """Whether :meth:`_detect_and_shrink`'s first pass would cut, for
+        each row of bucket totals and sizes (oldest bucket first, ``lengths``
+        buckets, zero-padded).
+
+        All split points are tested at once.  The left/right sums are
+        cumulative sums (the right one seeded with the window total; adding
+        the negated totals subtracts exactly), the counts are exact integers,
+        and every formula keeps the scalar operation order.  The scalar left
+        sum starts from ``0.0``; skipping that seed can only flip the sign of
+        a zero sum, which ``abs(mean0 - mean1)`` does not see.  ``width``,
+        ``delta'`` and the variance estimate are fixed within a pass, so the
+        logarithms are taken once per row, in ``math.log``.
+        """
+        columns = totals.shape[1] - 1
+        if columns < 1:
+            return np.zeros(totals.shape[0], dtype=bool)
+        left = np.add.accumulate(totals[:, :-1], axis=1)
+        right = np.empty_like(totals)
+        right[:, 0] = window_totals
+        np.negative(totals[:, :-1], out=right[:, 1:])
+        np.add.accumulate(right, axis=1, out=right)
+        n0 = np.add.accumulate(sizes[:, :-1], axis=1)
+        n1 = widths[:, None] - n0
+        mean_gap = np.abs(left / n0 - right[:, 1:] / n1)
+        harmonic = 1.0 / (1.0 / n0 + 1.0 / n1)
+        variance = (window_variances / widths)[:, None]
+        delta = self._delta
+        log_term = np.asarray(
+            [math.log(2.0 / (delta / math.log(max(width, 2)))) for width in widths.tolist()]
+        )[:, None]
+        epsilon = np.sqrt((2.0 / harmonic) * variance * log_term) + (
+            2.0 / (3.0 * harmonic)
+        ) * log_term
+        min_length = self._min_window_length
+        # The newest bucket can never be the whole right-hand window.
+        cuts = (np.arange(columns) < (lengths - 1)[:, None]) & (mean_gap > epsilon)
+        cuts &= (n0 >= min_length) & (n1 >= min_length)
+        return cuts.any(axis=1)
 
     def _epsilon_cut(self, n0: float, n1: float) -> float:
         """Normal-approximation threshold from the ADWIN paper (Section 4)."""
@@ -361,25 +576,40 @@ class Adwin(DriftDetector):
 
     def _drop_oldest_bucket(self) -> None:
         """Remove the oldest bucket (the window's left edge) after a cut."""
-        for level in range(len(self._rows) - 1, -1, -1):
-            row = self._rows[level]
-            if not row.buckets:
-                continue
-            bucket = row.buckets.pop()
-            size = 2 ** level
-            if self._width > size:
-                mean_bucket = bucket.total / size
-                mean_rest = (self._total - bucket.total) / (self._width - size)
-                self._variance -= bucket.variance + (
-                    size * (self._width - size) / self._width
-                ) * (mean_bucket - mean_rest) ** 2
-                self._variance = max(self._variance, 0.0)
-            else:
-                self._variance = 0.0
-            self._width -= size
-            self._total -= bucket.total
-            if self._width <= 0:
-                self._width = 0
-                self._total = 0.0
-                self._variance = 0.0
-            return
+        for level in range(len(self._totals) - 1, -1, -1):
+            totals = self._totals[level]
+            if totals:
+                self._width, self._total, self._variance = _without_bucket(
+                    self._width,
+                    self._total,
+                    self._variance,
+                    2 ** level,
+                    totals.pop(0),
+                    self._variances[level].pop(0),
+                )
+                return
+
+
+def _without_bucket(
+    width: int,
+    total: float,
+    variance: float,
+    size: int,
+    bucket_total: float,
+    bucket_variance: float,
+) -> Tuple[int, float, float]:
+    """Window ``(width, total, variance)`` after dropping its oldest bucket."""
+    if width > size:
+        mean_bucket = bucket_total / size
+        mean_rest = (total - bucket_total) / (width - size)
+        variance -= bucket_variance + (size * (width - size) / width) * (
+            mean_bucket - mean_rest
+        ) ** 2
+        variance = max(variance, 0.0)
+    else:
+        variance = 0.0
+    width -= size
+    total -= bucket_total
+    if width <= 0:
+        return 0, 0.0, 0.0
+    return width, total, variance

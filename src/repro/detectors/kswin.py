@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from itertools import chain
 from typing import Deque, Iterable, List, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.base import (
     BatchResult,
@@ -27,6 +29,11 @@ from repro.core.base import (
 from repro.exceptions import ConfigurationError
 
 __all__ = ["Kswin"]
+
+#: Consecutive tests evaluated by one vectorised block of ``update_batch``.
+#: A drift inside a block costs a redraw of the index sets up to the drift
+#: element, so larger blocks trade vector width for redraw work.
+_TEST_BLOCK = 64
 
 
 def _ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -49,6 +56,31 @@ def _ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float
     cdf_a = np.searchsorted(sorted_a, points, side="right") / sorted_a.shape[0]
     cdf_b = np.searchsorted(sorted_b, points, side="right") / sorted_b.shape[0]
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _ks_statistics(recent: np.ndarray, older: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_ks_statistic` of two ``(tests, size)`` sample arrays.
+
+    Each row is merged and sorted once; the right-continuous ECDF counts of
+    both samples at every sorted position are integer cumulative sums of the
+    sample labels.  ``np.searchsorted(side="right")`` evaluates a tied value
+    at the end of its tie group, so only group ends are candidates.  NaN
+    sorts last and counts the whole of both samples, so NaN positions (and
+    the final position) contribute 0.  Each candidate is formed as
+    ``count_a / n_a - count_b / n_b`` exactly as in the scalar statistic,
+    so every row is bit-identical to :func:`_ks_statistic`.
+    """
+    n_a = recent.shape[1]
+    n_b = older.shape[1]
+    merged = np.concatenate((recent, older), axis=1)
+    # Ties may land in any order: only the counts at a group's end are used.
+    count_a = np.add.accumulate(np.argsort(merged, axis=1) < n_a, axis=1, dtype=np.intp)
+    count_b = np.arange(1, n_a + n_b + 1) - count_a
+    distance = np.abs(count_a[:, :-1] / n_a - count_b[:, :-1] / n_b)
+    ordered = np.sort(merged, axis=1)
+    head = ordered[:, :-1]
+    group_end = (head != ordered[:, 1:]) & (head == head)
+    return np.max(distance, axis=1, where=group_end, initial=0.0)
 
 
 class Kswin(DriftDetector):
@@ -140,16 +172,20 @@ class Kswin(DriftDetector):
     def update_batch(
         self, values: Iterable[float], collect_stats: bool = False
     ) -> BatchResult:
-        """Batched update, bit-identical to the scalar loop.
+        """Block-vectorised update, bit-identical to the scalar loop.
 
-        The sliding window is maintained as a plain list for the duration of
-        the batch (no per-element ``list(deque)`` copy), partially filled
-        windows — after construction and after every drift, when the window
-        was shrunk to the recent sample — are bulk-extended without any test,
-        and the KS statistic itself is the vectorised sorted-merge of
-        :func:`_ks_statistic`.  The RNG subsample of the older segment is
-        drawn per tested element exactly as in scalar mode, so the random
-        state (and therefore every subsequent detection) stays identical.
+        Partially filled windows (after construction and after every drift,
+        when the window shrank to the recent sample) are bulk-extended without
+        a test.  Full windows are tested ``_TEST_BLOCK`` elements at a time:
+        ``random.Random.sample`` picks positions independently of the
+        population's contents, so the block draws its index sets up front
+        from ``range(window_size - stat_size)`` (consuming the generator
+        exactly like sampling the older segment itself), gathers every
+        test's older sample and recent slice from one buffer, and evaluates
+        all KS statistics with :func:`_ks_statistics`.  When a test in the
+        block fires, the generator is rewound to the block start and the
+        index sets are redrawn only through the drift element, so the random
+        state matches scalar mode again.
         """
         if collect_stats or type(self)._update_one is not Kswin._update_one:
             return super().update_batch(values, collect_stats=collect_stats)
@@ -157,35 +193,54 @@ class Kswin(DriftDetector):
         n = arr.shape[0]
         if n == 0:
             return BatchResult(0)
-        data = arr.tolist()
         drift_indices: List[int] = []
-        window = list(self._window)
         window_size = self._window_size
         stat_size = self._stat_size
-        rng_sample = self._rng.sample
+        older_size = window_size - stat_size
+        positions = range(older_size)
+        rng = self._rng
+        rng_sample = rng.sample
         critical = self._critical
+        window = np.asarray(self._window, dtype=np.float64)
 
         index = 0
         while index < n:
-            if len(window) < window_size - 1:
+            if window.shape[0] < window_size - 1:
                 # Elements that leave the window still short of full never
                 # run a test; append them in one slice.
-                take = min(window_size - 1 - len(window), n - index)
-                window.extend(data[index : index + take])
+                take = min(window_size - 1 - window.shape[0], n - index)
+                window = np.concatenate((window, arr[index : index + take]))
                 index += take
                 if index >= n:
                     break
-            window.append(data[index])
-            if len(window) > window_size:
-                del window[0]
-            recent = window[-stat_size:]
-            sample_older = rng_sample(window[:-stat_size], stat_size)
-            if _ks_statistic(recent, sample_older) > critical:
-                drift_indices.append(index)
-                window = recent
-            index += 1
+            block = min(_TEST_BLOCK, n - index)
+            # Test ``t`` of the block sees the window buffer[t : t + window_size].
+            buffer = np.concatenate(
+                (window[window.shape[0] - (window_size - 1) :], arr[index : index + block])
+            )
+            start_state = rng.getstate()
+            picks = np.fromiter(
+                chain.from_iterable(rng_sample(positions, stat_size) for _ in range(block)),
+                np.intp,
+                block * stat_size,
+            ).reshape(block, stat_size)
+            picks += np.arange(block)[:, None]
+            recent = sliding_window_view(buffer, stat_size)[older_size : older_size + block]
+            fired = np.flatnonzero(_ks_statistics(recent, buffer[picks]) > critical)
+            if fired.size == 0:
+                window = buffer[block - 1 :]
+                index += block
+                continue
+            first = int(fired[0])
+            rng.setstate(start_state)
+            for _ in range(first + 1):
+                rng_sample(positions, stat_size)
+            drift_indices.append(index + first)
+            # Keep only the recent sample as the new history.
+            window = buffer[first + older_size : first + window_size]
+            index += first + 1
 
-        self._window = deque(window, maxlen=window_size)
+        self._window = deque(window.tolist(), maxlen=window_size)
         return self._finish_batch(
             n, drift_indices, list(drift_indices), DriftType.DISTRIBUTION
         )

@@ -71,7 +71,7 @@ def test_memory_is_logarithmic_in_window():
     detector = Adwin(max_buckets=5)
     for _ in range(10_000):
         detector.update(0.5)
-    n_buckets = sum(len(row.buckets) for row in detector._rows)
+    n_buckets = sum(len(row) for row in detector.state_dict()["state"]["rows"])
     # 5 buckets per level, ~log2(10000 / 5) levels.
     assert n_buckets < 100
 

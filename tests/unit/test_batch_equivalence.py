@@ -2,12 +2,15 @@
 
 Every exported detector must report *exactly* the same drift and warning
 indices through ``update_batch`` as through the element-by-element ``update``
-loop — over binary, real-valued, and drift-dense streams, across multiple
-drifts/resets, for any chunking of the input, and leaving the detector in an
-indistinguishable internal state afterwards.  The detector line-up is checked
+loop — over binary, real-valued, drift-dense and non-finite streams, across
+multiple drifts/resets, for any chunking of the input, and leaving the
+detector in an indistinguishable internal state (the same ``state_dict()``)
+afterwards.  The detector line-up is checked
 against :func:`repro.detectors.exported_detector_classes`, so adding a
 detector without covering it here fails the registry test.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -55,8 +58,25 @@ def _drift_dense_binary(seed: int = 9) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _non_finite_binary(seed: int = 13) -> np.ndarray:
+    """A binary drift stream with NaN, +inf and -inf sprinkled in, as the
+    wire accepts them: pins the NaN/tie semantics of the vectorised kernels
+    (KSWIN's KS statistic, ADWIN's running aggregates)."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate(
+        [(rng.random(1_500) < p).astype(np.float64) for p in (0.2, 0.6, 0.1)]
+    )
+    # Dense enough that a KSWIN sample often holds several NaNs.
+    positions = rng.choice(values.shape[0], 240, replace=False)
+    values[positions[:150]] = np.nan
+    values[positions[150:195]] = np.inf
+    values[positions[195:]] = -np.inf
+    return values
+
+
 STREAMS = {
     "binary_multi_drift": _multi_drift_binary(),
+    "non_finite_binary": _non_finite_binary(),
     "gaussian_multi_drift": _multi_drift_gaussian(),
     "drift_dense": _drift_dense_binary(),
     "constant": np.full(500, 0.25),
@@ -74,6 +94,8 @@ DETECTORS = {
     ),
     "adwin": Adwin,
     "adwin_every_element": lambda: Adwin(clock=1, delta=0.05),
+    # A cascade at every other insert, and a check every fourth.
+    "adwin_cascade": lambda: Adwin(max_buckets=1, clock=4),
     "ddm": Ddm,
     "eddm": Eddm,
     "stepd": Stepd,
@@ -83,6 +105,9 @@ DETECTORS = {
     "page_hinkley": PageHinkley,
     "kswin": Kswin,
     "kswin_sensitive": lambda: Kswin(alpha=0.01, window_size=200, stat_size=40, seed=3),
+    # The older segment is exactly stat_size long: every sample is a full
+    # permutation of it.
+    "kswin_full_permutation": lambda: Kswin(window_size=60, stat_size=30, seed=1),
     "rddm": Rddm,
     "rddm_reactive": lambda: Rddm(
         max_concept_size=3_000, min_stable_size=1_000, warning_limit=200
@@ -122,8 +147,8 @@ def _scalar_fingerprint(detector_name: str, stream_name: str):
     """Scalar-mode reference, memoised across the chunk-size parametrisation.
 
     Returns drift/warning indices, the counter triple, the last-result flags,
-    and the outcomes of continuing the detector on a fixed tail stream (a
-    fingerprint of its internal post-run state).
+    the post-run ``state_dict()`` (see :func:`_state_text`), and the outcomes
+    of continuing the detector on a fixed tail stream.
     """
     key = (detector_name, stream_name)
     cached = _SCALAR_CACHE.get(key)
@@ -132,10 +157,20 @@ def _scalar_fingerprint(detector_name: str, stream_name: str):
         drifts, warnings = _scalar_reference(detector, STREAMS[stream_name])
         counters = (detector.n_seen, detector.n_drifts, detector.n_warnings)
         flags = (detector.drift_detected, detector.warning_detected)
+        state = _state_text(detector)
         tail = [detector.update(v).drift_detected for v in _TAIL]
-        cached = (drifts, warnings, counters, flags, tail)
+        cached = (drifts, warnings, counters, flags, state, tail)
         _SCALAR_CACHE[key] = cached
     return cached
+
+
+def _state_text(detector: DriftDetector) -> str:
+    """``state_dict()`` as canonical JSON text.
+
+    Comparing the text is bit-exact where ``==`` on the dicts is not: NaN
+    never equals itself, and ``-0.0 == 0.0``.
+    """
+    return json.dumps(detector.state_dict(), sort_keys=True)
 
 
 def _batched(detector: DriftDetector, values: np.ndarray, chunk: int):
@@ -152,7 +187,7 @@ def _batched(detector: DriftDetector, values: np.ndarray, chunk: int):
 @pytest.mark.parametrize("detector_name", sorted(DETECTORS))
 def test_batch_matches_scalar(detector_name, stream_name, chunk):
     values = STREAMS[stream_name]
-    scalar_drifts, scalar_warnings, counters, flags, scalar_tail = (
+    scalar_drifts, scalar_warnings, counters, flags, scalar_state, scalar_tail = (
         _scalar_fingerprint(detector_name, stream_name)
     )
     batch_detector = DETECTORS[detector_name]()
@@ -170,8 +205,10 @@ def test_batch_matches_scalar(detector_name, stream_name, chunk):
         batch_detector.warning_detected,
     ) == flags
 
-    # The post-batch internal state must be indistinguishable: continuing the
-    # detector element-by-element must yield the scalar-mode outcomes.
+    # The post-batch internal state must be indistinguishable: the snapshot
+    # is the same, and continuing the detector element-by-element yields the
+    # scalar-mode outcomes.
+    assert _state_text(batch_detector) == scalar_state
     batch_tail = [batch_detector.update(v).drift_detected for v in _TAIL]
     assert batch_tail == scalar_tail
 
