@@ -9,8 +9,25 @@ modes is reported alongside the paper's O(1)-per-element comparison.
 from conftest import run_once
 
 from repro.core.optwin import Optwin
+from repro.detectors.adwin import Adwin
+from repro.detectors.kswin import Kswin
 from repro.evaluation.reporting import format_table
 from repro.experiments.runtime import run_runtime_comparison
+
+
+def _runtime_comparisons(lengths):
+    """The registry-driven comparison on a drift-free stream, plus ADWIN and
+    KSWIN on the serving benchmark's drift-dense shape: the error rate
+    switches between 0.1 and 0.55 every 1024 values, fed in 1024-value
+    chunks."""
+    measurements = run_runtime_comparison(stream_lengths=lengths)
+    measurements += run_runtime_comparison(
+        stream_lengths=(max(lengths),),
+        detectors={"ADWIN drift-dense": Adwin, "KSWIN drift-dense": Kswin},
+        batch_chunk_size=1024,
+        drift_period=1024,
+    )
+    return measurements
 
 
 def test_runtime_per_element(benchmark, scale, report):
@@ -19,7 +36,7 @@ def test_runtime_per_element(benchmark, scale, report):
         25_000,
         100_000,
     )
-    measurements = run_once(benchmark, run_runtime_comparison, stream_lengths=lengths)
+    measurements = run_once(benchmark, _runtime_comparisons, lengths)
     rows = [
         [m.detector_name, m.mode, m.n_elements, f"{m.seconds_per_element * 1e6:.2f}"]
         for m in measurements
@@ -75,14 +92,16 @@ def test_runtime_per_element(benchmark, scale, report):
     )
     # ADWIN and KSWIN keep a sequential core (bucket cascades, RNG
     # subsampling) but run it in blocks: ADWIN tests the cuts of many
-    # check-clock ticks at once, KSWIN the KS statistics of many consecutive
-    # windows.  Each must reach at least 2x.
-    for name in ("ADWIN", "KSWIN"):
-        speedup = by_key[(name, "scalar")] / by_key[(name, "batch")]
-        assert speedup >= 2.0, (
-            f"{name} batch speedup {speedup:.1f}x at {longest} elements is "
-            "below 2x"
-        )
+    # check-clock ticks at once and continues a block past a cut, KSWIN draws
+    # a block's index sets in bulk and evaluates the KS statistics of many
+    # consecutive windows.  ADWIN must reach 2x and KSWIN 3x, on both streams.
+    for name, bar in (("ADWIN", 2.0), ("KSWIN", 3.0)):
+        for label in (name, f"{name} drift-dense"):
+            speedup = by_key[(label, "scalar")] / by_key[(label, "batch")]
+            assert speedup >= bar, (
+                f"{label} batch speedup {speedup:.1f}x at {longest} elements is "
+                f"below {bar}x"
+            )
 
     # Paper shape: OPTWIN's amortised cost stays flat (O(1)) as the stream and
     # window grow — the cost at the longest stream is within a small factor of

@@ -310,46 +310,49 @@ class Optwin(DriftDetector):
         threshold = PrefixStats._COMPACT_THRESHOLD
         position = 0
         limit = self._BATCH_CHUNK
-        while position < n:
-            window = self._window
-            if (
-                len(window) >= config.w_max
-                and window.dead_prefix == threshold - 1
-            ):
-                # This element's eviction triggers the storage compaction
-                # (slice-and-rebase) *before* its statistics are computed.
-                # Run it through the scalar path so the rebase happens at
-                # exactly the same point as in scalar mode — one scalar
-                # element per compaction period keeps the two modes
-                # bit-identical even when rebasing perturbs prefix ulps.
-                outcome = self._update_one(float(arr[position]))
-                if outcome.drift_detected:
-                    drift_indices.append(position)
-                if outcome.warning_detected:
-                    warning_indices.append(position)
-                last_drift = outcome.drift_detected
-                last_warning = outcome.warning_detected
-                last_type = outcome.drift_type
-                position += 1
-                continue
-            consumed, drift_rel, warn_rel, drift_type = self._batch_segment(
-                arr, position, limit
-            )
-            for rel in warn_rel:
-                warning_indices.append(position + rel)
-            if drift_rel is not None:
-                drift_index = position + drift_rel
-                drift_indices.append(drift_index)
-                warning_indices.append(drift_index)
-                last_drift = last_warning = drift_index == n - 1
-                last_type = drift_type if last_drift else None
-                limit = self._BATCH_RESTART
-            else:
-                last_drift = False
-                last_warning = bool(warn_rel) and warn_rel[-1] == consumed - 1
-                last_type = None
-                limit = min(limit * 4, self._BATCH_CHUNK)
-            position += consumed
+        # Non-finite values make inf - inf and the like; the scalar loop
+        # computes the same NaNs silently, in Python floats.
+        with np.errstate(all="ignore"):
+            while position < n:
+                window = self._window
+                if (
+                    len(window) >= config.w_max
+                    and window.dead_prefix == threshold - 1
+                ):
+                    # This element's eviction triggers the storage compaction
+                    # (slice-and-rebase) *before* its statistics are computed.
+                    # Run it through the scalar path so the rebase happens at
+                    # exactly the same point as in scalar mode — one scalar
+                    # element per compaction period keeps the two modes
+                    # bit-identical even when rebasing perturbs prefix ulps.
+                    outcome = self._update_one(float(arr[position]))
+                    if outcome.drift_detected:
+                        drift_indices.append(position)
+                    if outcome.warning_detected:
+                        warning_indices.append(position)
+                    last_drift = outcome.drift_detected
+                    last_warning = outcome.warning_detected
+                    last_type = outcome.drift_type
+                    position += 1
+                    continue
+                consumed, drift_rel, warn_rel, drift_type = self._batch_segment(
+                    arr, position, limit
+                )
+                for rel in warn_rel:
+                    warning_indices.append(position + rel)
+                if drift_rel is not None:
+                    drift_index = position + drift_rel
+                    drift_indices.append(drift_index)
+                    warning_indices.append(drift_index)
+                    last_drift = last_warning = drift_index == n - 1
+                    last_type = drift_type if last_drift else None
+                    limit = self._BATCH_RESTART
+                else:
+                    last_drift = False
+                    last_warning = bool(warn_rel) and warn_rel[-1] == consumed - 1
+                    last_type = None
+                    limit = min(limit * 4, self._BATCH_CHUNK)
+                position += consumed
         last_result = DetectionResult(
             drift_detected=last_drift,
             warning_detected=last_drift or last_warning,

@@ -17,8 +17,8 @@ main baseline.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import Iterable, Iterator, List, Tuple
+from itertools import accumulate, repeat
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,12 +33,13 @@ from repro.exceptions import ConfigurationError, SnapshotError
 
 __all__ = ["Adwin"]
 
-#: Check-clock ticks whose cut tests one block of ``update_batch`` evaluates
-#: together; caps the ``(ticks x buckets)`` work arrays.
-_TICK_BLOCK = 256
-#: Cut tests one pass of :meth:`Adwin._shrink_while_cut` evaluates together:
-#: the window as it is and after each of the next ``_DROP_ROWS - 1`` drops.
-_DROP_ROWS = 8
+#: Check-clock ticks one run of :meth:`Adwin._advance_block` tests together;
+#: caps the ``(ticks x buckets)`` work arrays.
+_RUN_TICKS = 256
+#: Cut tests one pass of :meth:`Adwin._shrink` evaluates together: the
+#: window after each of the next ``_DROP_ROWS`` drops (a quarter as many in
+#: a probe's first pass, where a cut is the exception).
+_DROP_ROWS = 16
 
 
 class Adwin(DriftDetector):
@@ -148,11 +149,11 @@ class Adwin(DriftDetector):
         """Block-vectorised update, bit-identical to the scalar loop.
 
         A block of values is advanced in one go by :meth:`_advance_block`:
-        running aggregates from seeded cumulative sums, the histogram's
-        buckets level by level, and the cut tests of every check-clock tick
-        in the block as one ``(ticks x buckets)`` array.  The first tick
-        whose test cuts ends the block; the window is shrunk there exactly
-        as in scalar mode and the next block starts after it.
+        the histogram's states at every check-clock tick come from one
+        :class:`_Schedule`, the running aggregates from seeded cumulative
+        sums, and the cut tests of consecutive ticks are evaluated together
+        as one ``(ticks x buckets)`` array.  A tick whose test cuts is shrunk
+        exactly as in scalar mode and the block continues after it.
         """
         if collect_stats or type(self)._update_one is not Adwin._update_one:
             return super().update_batch(values, collect_stats=collect_stats)
@@ -161,28 +162,12 @@ class Adwin(DriftDetector):
         if n == 0:
             return BatchResult(0)
         drift_indices: List[int] = []
-        clock = self._clock
-        position = 0
-        block_ticks = _TICK_BLOCK
         with np.errstate(all="ignore"):
-            while position < n:
-                # A block ends on a tick, or with the input, or after
-                # _BATCH_CHUNK values (which bounds its memory for long clocks).
-                length = min(
-                    clock - self._ticks % clock + (block_ticks - 1) * clock,
-                    self._BATCH_CHUNK,
+            for low in range(0, n, self._BATCH_CHUNK):
+                drift_indices.extend(
+                    low + position
+                    for position in self._advance_block(arr[low : low + self._BATCH_CHUNK])
                 )
-                block = arr[position : position + length]
-                consumed, drift = self._advance_block(block)
-                position += consumed
-                if drift:
-                    drift_indices.append(position - 1)
-                    # Cuts come in bursts at consecutive ticks: test the next
-                    # tick on its own before returning to long blocks.
-                    block_ticks = 1
-                else:
-                    block_ticks = _TICK_BLOCK
-
         return self._finish_batch(
             n, drift_indices, list(drift_indices), DriftType.MEAN
         )
@@ -270,35 +255,6 @@ class Adwin(DriftDetector):
             self._variances[level + 1].append(merged_variance)
             level += 1
 
-    def _running_aggregates(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Window ``total`` and ``variance`` after each insert of ``values``.
-
-        Bit-identical to repeated :meth:`_insert_element` calls: both
-        recurrences are cumulative sums seeded with the running value, so the
-        additions happen in the scalar order.  The squares go through
-        Python's float ``**`` because ``libm`` ``pow`` is not always the
-        correctly rounded ``x * x`` numpy would use.
-        """
-        count = values.shape[0]
-        width = self._width
-        totals = np.empty(count + 1)
-        totals[0] = self._total
-        totals[1:] = values
-        np.add.accumulate(totals, out=totals)
-        widths = np.arange(width, width + count, dtype=np.float64)
-        deviations = values - totals[:-1] / widths
-        squares = np.fromiter(map(pow, deviations.tolist(), repeat(2)), np.float64, count)
-        variances = np.empty(count + 1)
-        variances[0] = self._variance
-        variances[1:] = widths * squares / (widths + 1.0)
-        if width == 0:
-            # The first insert into an empty window leaves the variance alone.
-            variances[1] = self._variance
-            np.add.accumulate(variances[1:], out=variances[1:])
-        else:
-            np.add.accumulate(variances, out=variances)
-        return totals[1:], variances[1:]
-
     def _iter_buckets_oldest_first(self) -> Iterator[Tuple[int, float]]:
         """Yield ``(size, total)`` pairs from the oldest to the newest bucket."""
         for level in range(len(self._totals) - 1, -1, -1):
@@ -334,235 +290,226 @@ class Adwin(DriftDetector):
                     break
         return drift_detected
 
-    def _advance_block(self, values: np.ndarray) -> Tuple[int, bool]:
-        """Feed ``values`` up to and including the first tick that cuts.
+    def _advance_block(self, values: np.ndarray) -> List[int]:
+        """Feed ``values``; returns the positions that were drifts.
 
-        Returns how many values were consumed and whether the last of them
-        was a drift (the window is then already shrunk).  The ticks before
-        the block's last value are tested together on their bucket layouts;
-        the first one that cuts, or else a tick on the last value, is tested
-        again by :meth:`_shrink_while_cut` in the histogram state of that
-        tick, which also does the shrinking.
+        Cuts come in bursts at consecutive ticks, so the block alternates
+        two kinds of steps.  A *probe* tests one tick together with the
+        shrinking that follows a cut (:meth:`_shrink`), in one
+        :meth:`_cut_rows` call.  The block starts with probes, and probes
+        again after every cut, until two probes in a row do not cut; then a
+        *run* tests the remaining ticks together, and a tick of the run that
+        cuts is shrunk and probing resumes after it.  After a cut the
+        schedule drops the buckets (:meth:`_Schedule.drop`) and the
+        aggregates restart from the shrunk window.
         """
         count = values.shape[0]
         clock = self._clock
         ticks = np.arange(clock - 1 - self._ticks % clock, count, clock)
-        ticks = ticks[self._width + ticks + 1 >= self._min_n_for_check]
-        # Histogram states are taken at every checked tick and at block end.
-        positions = np.append(ticks, count - 1)
-        levels = self._bucket_schedule(values, positions + 1)
-        window_totals, window_variances = self._running_aggregates(values)
-
-        rows = ticks.shape[0] - (ticks.shape[0] > 0 and ticks[-1] == count - 1)
-        row = -1
-        if rows:
-            cuts = self._cut_rows(
-                *self._layouts(levels, rows),
-                self._width + ticks[:rows] + 1,
-                window_totals[ticks[:rows]],
-                window_variances[ticks[:rows]],
-            )
-            if cuts.any():
-                row = int(np.argmax(cuts))
-
-        end = int(positions[row])
-        self._set_buckets(levels, row)
-        self._width += end + 1
-        self._total = float(window_totals[end])
-        self._variance = float(window_variances[end])
-        self._ticks += end + 1
-        drift = (row >= 0 or rows < ticks.shape[0]) and self._shrink_while_cut() > 0
-        return end + 1, drift
-
-    def _bucket_schedule(self, values: np.ndarray, inserted: np.ndarray) -> list:
-        """Every histogram state of a block, for the levels the block reaches.
-
-        ``inserted`` holds how many of ``values`` have been inserted at each
-        state of interest.  A level that receives buckets merges its two
-        oldest whenever it holds ``max_buckets + 2``; so the buckets it ever
-        holds in the block form one history (its buckets at block start, then
-        the arrivals in order), it always merges that history's front pairs,
-        and after ``a`` arrivals it has merged
-        ``max(0, (start + a - max_buckets) // 2)`` pairs.  Each state of a
-        level is therefore a slice of its history, and the merged pairs are
-        the next level's arrivals.  Levels above the last one that receives
-        buckets keep their state through the block.
-
-        Returns, per level from 0, ``(history of bucket totals, buckets at
-        block start, merged pairs, arrivals)``, the last two with one entry
-        per state: the state's slice of the history is
-        ``[2 * merged, start + arrivals)``.  Bucket variances
-        are only needed for the state the block stops at, so
-        :meth:`_set_buckets` computes them then.
-        """
-        max_buckets = self._max_buckets
-        levels = []
-        incoming = values
-        arrived = inserted
-        level = 0
-        while incoming.shape[0]:
-            start = len(self._totals[level]) if level < len(self._totals) else 0
-            history = np.concatenate((self._totals[level], incoming)) if start else incoming
-            merged = arrived + (start - max_buckets)
-            np.maximum(merged, 0, out=merged)
-            merged //= 2
-            levels.append((history, start, merged, arrived))
-            pairs = 2 * int(merged[-1])
-            incoming = history[0:pairs:2] + history[1:pairs:2]
-            arrived = merged
-            level += 1
-        return levels
-
-    def _set_buckets(self, levels: list, row: int) -> None:
-        """Move the histogram to state ``row`` of :meth:`_bucket_schedule`,
-        merging the bucket variances on the way exactly as
-        :meth:`_compress_buckets` does."""
-        incoming: List[float] = [0.0] * int(levels[0][3][row])
-        for level, (history, start, merged, arrived) in enumerate(levels):
-            if level == len(self._totals):
-                if not arrived[row]:
-                    return
-                self._totals.append([])
-                self._variances.append([])
-            begin = 2 * int(merged[row])
-            totals = history[: start + int(arrived[row])].tolist()
-            variances = self._variances[level] + incoming
-            size = float(2 ** level)
-            factor = size * size / (2.0 * size)
-            incoming = [
-                older_variance
-                + newer_variance
-                + factor * (older / size - newer / size) ** 2
-                for older, newer, older_variance, newer_variance in zip(
-                    totals[0:begin:2],
-                    totals[1:begin:2],
-                    variances[0:begin:2],
-                    variances[1:begin:2],
-                )
-            ]
-            self._totals[level] = totals[begin:]
-            self._variances[level] = variances[begin:]
-
-    def _layouts(self, levels: list, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first ``rows`` states of :meth:`_bucket_schedule` as padded
-        ``(rows x buckets)`` arrays of bucket totals and sizes, oldest bucket
-        first, plus each row's bucket count."""
-        histories = [history for history, _, _, _ in levels]
-        begins = [2 * merged[:rows] for _, _, merged, _ in levels]
-        ends = [start + arrived[:rows] for _, start, _, arrived in levels]
-        for static in self._totals[len(levels) :]:
-            histories.append(np.asarray(static, dtype=np.float64))
-            begins.append(np.zeros(rows, dtype=np.intp))
-            ends.append(np.full(rows, len(static)))
-        # Oldest first: from the top level down.
-        histories.reverse()
-        lengths = np.asarray([history.shape[0] for history in histories])
-        offsets = np.cumsum(lengths) - lengths
-        starts = np.stack(begins[::-1], axis=1) + offsets
-        counts = (np.stack(ends[::-1], axis=1) + offsets - starts).ravel()
-        gather = np.arange(int(counts.sum())) + np.repeat(
-            starts.ravel() - (np.cumsum(counts) - counts), counts
+        # One state per tick, and the block end.
+        schedule = _Schedule(
+            self._max_buckets, self._totals, self._variances, values, np.append(ticks, count - 1) + 1
         )
-        buckets = counts.reshape(rows, -1).sum(axis=1)
-        filled = np.arange(int(buckets.max())) < buckets[:, None]
-        totals = np.zeros(filled.shape)
-        totals[filled] = np.concatenate(histories)[gather]
-        sizes = np.zeros(filled.shape)
-        sizes[filled] = np.repeat(2.0 ** np.arange(len(histories) - 1, -1, -1), lengths)[gather]
-        return totals, sizes, buckets
+        # Window aggregates after each value, known for values[:filled];
+        # ``window`` is (width, total, variance) after values[:filled].
+        window_totals = np.empty(count)
+        window_variances = np.empty(count)
+        filled = 0
+        window = (self._width, self._total, self._variance)
+        drifts: List[int] = []
+        first = 0
+        probe = True
+        quiet = 0
+        while first < ticks.shape[0]:
+            last = min(first + (1 if probe else _RUN_TICKS), ticks.shape[0])
+            stop = int(ticks[last - 1]) + 1
+            if stop > filled:
+                totals, variances = _running_aggregates(values[filled:stop], *window)
+                window_totals[filled:stop] = totals
+                window_variances[filled:stop] = variances
+                window = (window[0] + stop - filled, float(totals[-1]), float(variances[-1]))
+                filled = stop
+            # The window's width after the value at a tick is the tick + offset.
+            offset = window[0] + 1 - filled
+            if probe:
+                state = first
+                position = stop - 1
+                width = position + offset
+                first += 1
+                if width < self._min_n_for_check:
+                    continue
+            else:
+                states = np.arange(first, last)
+                widths = ticks[first:last] + offset
+                checked = widths >= self._min_n_for_check
+                states, widths = states[checked], widths[checked]
+                first = last
+                if not states.shape[0]:
+                    continue
+                positions = ticks[states]
+                cuts = self._cut_rows(
+                    *schedule.layout(states),
+                    widths,
+                    window_totals[positions],
+                    window_variances[positions],
+                )
+                if not cuts.any():
+                    continue
+                row = int(np.argmax(cuts))
+                state = int(states[row])
+                position = int(positions[row])
+                width = int(widths[row])
+            drops, width, total, variance = self._shrink(
+                *schedule.buckets(state),
+                width,
+                float(window_totals[position]),
+                float(window_variances[position]),
+                cut=not probe,
+            )
+            if not drops:
+                quiet += 1
+                probe = quiet < 2
+                continue
+            schedule.drop(state, drops)
+            drifts.append(position)
+            window = (width, total, variance)
+            filled = position + 1
+            first = state + 1
+            probe = True
+            quiet = 0
 
-    def _shrink_while_cut(self) -> int:
-        """:meth:`_detect_and_shrink` on the current window: drop the oldest
-        bucket while the cut test cuts; returns the number of drops.
+        if filled < count:
+            totals, variances = _running_aggregates(values[filled:], *window)
+            window = (window[0] + count - filled, float(totals[-1]), float(variances[-1]))
+        self._totals, self._variances = schedule.histogram(schedule.states - 1)
+        self._width, self._total, self._variance = window
+        self._ticks += count
+        return drifts
 
-        The tests after zero, one, ... drops are the rows of one
+    def _shrink(
+        self,
+        bucket_totals: List[float],
+        bucket_sizes: List[int],
+        bucket_variances: List[float],
+        width: int,
+        total: float,
+        variance: float,
+        cut: bool,
+    ) -> Tuple[int, int, float, float]:
+        """:meth:`_detect_and_shrink` at one tick, on that tick's buckets
+        (oldest first) and window aggregates; ``cut`` says the test is
+        already known to cut there.
+
+        Drops the oldest bucket while the test cuts; returns the number of
+        drops and the window's ``(width, total, variance)`` after them.  The
+        tests after zero, one, ... drops are the rows of one
         :meth:`_cut_rows` call (up to ``_DROP_ROWS`` of them): the remaining
-        buckets are suffixes of the current ones, and the window aggregates
-        after each drop follow from :func:`_without_bucket`.
+        buckets are suffixes of the row, and the window aggregates after
+        each drop follow from :func:`_without_bucket`.
         """
+        count = len(bucket_totals)
+        if count < 2:
+            return (0, width, total, variance)
+        window = (width, total, variance)
         dropped = 0
+        if cut:
+            window = _without_bucket(
+                *window, bucket_sizes[0], bucket_totals[0], bucket_variances[0]
+            )
+            dropped = 1
+        padded_totals = np.asarray(bucket_totals + [0.0] * _DROP_ROWS)
+        padded_sizes = np.asarray(bucket_sizes + [0] * _DROP_ROWS, dtype=np.float64)
+        rows = _DROP_ROWS if cut else _DROP_ROWS // 4
         while True:
-            totals = [total for level in reversed(self._totals) for total in level]
-            count = len(totals)
-            if count < 2:
-                return dropped
-            rows = min(count, _DROP_ROWS)
-            variances = [variance for level in reversed(self._variances) for variance in level]
-            sizes = [
-                2 ** level
-                for level in range(len(self._totals) - 1, -1, -1)
-                for _ in self._totals[level]
-            ]
-            state = (self._width, self._total, self._variance)
-            states = [state]
-            for drop in range(rows - 1):
-                state = _without_bucket(*state, sizes[drop], totals[drop], variances[drop])
-                states.append(state)
-            widths, window_totals, window_variances = (np.asarray(column) for column in zip(*states))
-            # Row ``d`` holds the buckets left after ``d`` drops.
-            suffix = np.arange(rows)[:, None] + np.arange(count)
+            rows = min(count - dropped, rows)
+            windows = [window]
+            for drop in range(dropped, dropped + rows - 1):
+                window = _without_bucket(
+                    *window, bucket_sizes[drop], bucket_totals[drop], bucket_variances[drop]
+                )
+                windows.append(window)
+            widths, window_totals, window_variances = (
+                np.asarray(column) for column in zip(*windows)
+            )
+            # Row ``j`` holds the buckets left after ``dropped + j`` drops.
+            suffix = np.arange(dropped, dropped + rows)[:, None] + np.arange(count - dropped)
             cuts = self._cut_rows(
-                np.asarray(totals + [0.0] * rows)[suffix],
-                np.asarray(sizes + [0] * rows, dtype=np.float64)[suffix],
-                count - np.arange(rows),
+                padded_totals[suffix],
+                padded_sizes[suffix],
                 widths,
                 window_totals,
                 window_variances,
             )
-            drops = rows if cuts.all() else int(np.argmin(cuts))
-            for _ in range(drops):
-                self._drop_oldest_bucket()
-            dropped += drops
-            if drops < rows:
-                return dropped
+            if not np.logical_and.reduce(cuts):
+                kept = int(np.argmin(cuts))
+                return (dropped + kept, *windows[kept])
+            dropped += rows
+            rows = _DROP_ROWS
+            drop = dropped - 1
+            window = _without_bucket(
+                *window, bucket_sizes[drop], bucket_totals[drop], bucket_variances[drop]
+            )
 
     def _cut_rows(
         self,
         totals: np.ndarray,
         sizes: np.ndarray,
-        lengths: np.ndarray,
         widths: np.ndarray,
         window_totals: np.ndarray,
         window_variances: np.ndarray,
     ) -> np.ndarray:
         """Whether :meth:`_detect_and_shrink`'s first pass would cut, for
-        each row of bucket totals and sizes (oldest bucket first, ``lengths``
-        buckets, zero-padded).
+        each row of bucket totals and sizes (oldest bucket first; entries of
+        size 0 are gaps, as in :meth:`_Schedule.layout`).
 
         All split points are tested at once.  The left/right sums are
         cumulative sums (the right one seeded with the window total; adding
         the negated totals subtracts exactly), the counts are exact integers,
-        and every formula keeps the scalar operation order.  The scalar left
-        sum starts from ``0.0``; skipping that seed can only flip the sign of
-        a zero sum, which ``abs(mean0 - mean1)`` does not see.  ``width``,
-        ``delta'`` and the variance estimate are fixed within a pass, so the
-        logarithms are taken once per row, in ``math.log``.
+        and every formula keeps the scalar operation order.  A gap adds
+        ``0.0`` to both sums, so the split after it repeats the split before
+        it, and splits before the first bucket have ``n0 = 0``: neither
+        changes whether a row cuts.  The scalar left sum starts from
+        ``0.0``; skipping that seed can only flip the sign of a zero sum,
+        which ``abs(mean0 - mean1)`` does not see.  ``width``, ``delta'`` and
+        the variance estimate are fixed within a pass, so the logarithms are
+        taken once per row, in ``math.log``.
         """
-        columns = totals.shape[1] - 1
-        if columns < 1:
+        if totals.shape[1] < 2:
             return np.zeros(totals.shape[0], dtype=bool)
-        left = np.add.accumulate(totals[:, :-1], axis=1)
+        n0 = np.add.accumulate(sizes[:, :-1], axis=1)
+        mean_gap = np.add.accumulate(totals[:, :-1], axis=1)
         right = np.empty_like(totals)
         right[:, 0] = window_totals
         np.negative(totals[:, :-1], out=right[:, 1:])
         np.add.accumulate(right, axis=1, out=right)
-        n0 = np.add.accumulate(sizes[:, :-1], axis=1)
         n1 = widths[:, None] - n0
-        mean_gap = np.abs(left / n0 - right[:, 1:] / n1)
-        harmonic = 1.0 / (1.0 / n0 + 1.0 / n1)
-        variance = (window_variances / widths)[:, None]
+        mean_gap /= n0
+        right = right[:, 1:]
+        right /= n1
+        mean_gap -= right
+        np.abs(mean_gap, out=mean_gap)
+        harmonic = 1.0 / n0
+        harmonic += 1.0 / n1
+        np.divide(1.0, harmonic, out=harmonic)
         delta = self._delta
         log_term = np.asarray(
             [math.log(2.0 / (delta / math.log(max(width, 2)))) for width in widths.tolist()]
         )[:, None]
-        epsilon = np.sqrt((2.0 / harmonic) * variance * log_term) + (
-            2.0 / (3.0 * harmonic)
-        ) * log_term
+        epsilon = 2.0 / harmonic
+        epsilon *= (window_variances / widths)[:, None]
+        epsilon *= log_term
+        np.sqrt(epsilon, out=epsilon)
+        harmonic *= 3.0
+        np.divide(2.0, harmonic, out=harmonic)
+        harmonic *= log_term
+        epsilon += harmonic
+        cuts = mean_gap > epsilon
         min_length = self._min_window_length
-        # The newest bucket can never be the whole right-hand window.
-        cuts = (np.arange(columns) < (lengths - 1)[:, None]) & (mean_gap > epsilon)
-        cuts &= (n0 >= min_length) & (n1 >= min_length)
-        return cuts.any(axis=1)
+        cuts &= np.minimum(n0, n1) >= min_length
+        if not min_length > 0:
+            # The newest bucket can never be the whole right-hand window.
+            cuts &= n1 > 0
+        return np.logical_or.reduce(cuts, axis=1)
 
     def _epsilon_cut(self, n0: float, n1: float) -> float:
         """Normal-approximation threshold from the ADWIN paper (Section 4)."""
@@ -613,3 +560,287 @@ def _without_bucket(
     if width <= 0:
         return 0, 0.0, 0.0
     return width, total, variance
+
+
+def _running_aggregates(
+    values: np.ndarray, width: int, total: float, variance: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Window ``total`` and ``variance`` after each insert of ``values`` into
+    a window of ``width`` values with that ``total`` and ``variance``.
+
+    Bit-identical to repeated :meth:`Adwin._insert_element` calls: both
+    recurrences are cumulative sums seeded with the running value, so the
+    additions happen in the scalar order.  The squares go through Python's
+    float ``**`` because ``libm`` ``pow`` is not always the correctly rounded
+    ``x * x`` numpy would use.
+    """
+    count = values.shape[0]
+    totals = np.empty(count + 1)
+    totals[0] = total
+    totals[1:] = values
+    np.add.accumulate(totals, out=totals)
+    widths = np.arange(width, width + count, dtype=np.float64)
+    deviations = values - totals[:-1] / widths
+    variances = np.empty(count + 1)
+    variances[0] = variance
+    variances[1:] = widths * _squares(deviations) / (widths + 1.0)
+    if width == 0:
+        # The first insert into an empty window leaves the variance alone.
+        variances[1] = variance
+        np.add.accumulate(variances[1:], out=variances[1:])
+    else:
+        np.add.accumulate(variances, out=variances)
+    return totals[1:], variances[1:]
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``value ** 2`` of every value, in Python's float ``**`` (which turns
+    the exponent 2 into 2.0 before calling ``pow``, so passing 2.0 is the
+    same call without the conversion)."""
+    return np.fromiter(map(pow, values.tolist(), repeat(2.0)), np.float64, values.shape[0])
+
+
+class _Schedule:
+    """Every histogram state of one ``update_batch`` block.
+
+    A level that receives buckets merges its two oldest whenever it holds
+    ``max_buckets + 2``; so the buckets it ever holds in the block form one
+    history (its buckets at block start, then the arrivals in order), it
+    always merges that history's front pairs, and after ``a`` arrivals it
+    has merged ``max(0, (start + a - max_buckets) // 2)`` pairs.  Each state
+    of a level is therefore a slice of its history, and the merged pairs are
+    the next level's arrivals; their variances are merged with them, as
+    :meth:`Adwin._compress_buckets` merges them.  Levels above the last one
+    that receives buckets keep their state through the block.
+
+    ``inserted`` holds how many values have been inserted at each state.
+    The histories of all levels sit in :attr:`totals` and :attr:`variances`
+    (level 0 first, then a 0.0 sentinel), and each state of a level is the
+    slice ``[begin, end)`` of them.  A cut drops the oldest buckets of a
+    state (:meth:`drop`); the levels that lost buckets then re-run their
+    schedule from that state, and the levels below keep theirs.
+    """
+
+    def __init__(
+        self,
+        max_buckets: int,
+        totals: List[List[float]],
+        variances: List[List[float]],
+        values: np.ndarray,
+        inserted: np.ndarray,
+    ) -> None:
+        self._max_buckets = max_buckets
+        self._slots = np.arange(max_buckets + 1)
+        self.states = inserted.shape[0]
+        # A drop's re-run that has not happened yet: its lowest level and
+        # state, and the last state whose slices are right without it.
+        self._pending: Optional[int] = None
+        self._base = self._valid = 0
+        self._sizes = np.zeros(0)
+        self.totals = self.variances = np.zeros(1)
+        # ``(levels x states)`` slots of each state's first and past-the-last
+        # bucket in ``totals``; per level, where its history starts and ends
+        # there and the first state it exists at (-1: before the block).
+        self._begin = self._end = np.zeros((0, self.states), dtype=np.intp)
+        self._offsets: List[int] = []
+        self._ends: List[int] = []
+        self._first: List[int] = []
+        self._run(
+            0,
+            [
+                (np.asarray(level_totals, dtype=np.float64), np.asarray(level_variances, dtype=np.float64))
+                for level_totals, level_variances in zip(totals, variances)
+            ],
+            values,
+            np.zeros(values.shape[0]),
+            inserted,
+        )
+
+    def _run(
+        self,
+        level: int,
+        contents: List[Tuple[np.ndarray, np.ndarray]],
+        incoming: np.ndarray,
+        incoming_variances: np.ndarray,
+        arrived: np.ndarray,
+    ) -> None:
+        """Schedule the levels from ``level`` up, given the buckets each of
+        them holds when the schedule starts (``contents``, for the levels
+        that exist then) and the buckets that arrive at ``level`` afterwards,
+        ``arrived[state]`` of them by each state."""
+        max_buckets = self._max_buckets
+        empty = np.zeros(0)
+        # Bucket totals level by level, then every merged pair's variance
+        # term in one pass, then the variances level by level.
+        histories = []
+        starts = []
+        arrivals = [arrived]
+        firsts = []
+        olders = []
+        newers = []
+        while incoming.shape[0] or len(histories) < len(contents):
+            if len(histories) < len(contents):
+                history = contents[len(histories)][0]
+                firsts.append(-1)
+            else:
+                history = empty
+                firsts.append(int(np.argmax(arrived > 0)))
+            start = history.shape[0]
+            if start and incoming.shape[0]:
+                history = np.concatenate((history, incoming))
+            elif incoming.shape[0]:
+                history = incoming
+            merged = arrived + (start - max_buckets)
+            np.maximum(merged, 0, out=merged)
+            merged //= 2
+            pairs = 2 * int(merged[-1])
+            olders.append(history[0:pairs:2])
+            newers.append(history[1:pairs:2])
+            histories.append(history)
+            starts.append(start)
+            incoming = olders[-1] + newers[-1]
+            arrived = merged
+            arrivals.append(merged)
+        pairs_per_level = [older.shape[0] for older in olders]
+        sizes = 2.0 ** np.arange(level, level + len(histories))
+        pair_sizes = np.repeat(sizes, pairs_per_level)
+        terms = np.repeat(sizes * sizes / (2.0 * sizes), pairs_per_level) * _squares(
+            np.concatenate(olders) / pair_sizes - np.concatenate(newers) / pair_sizes
+        )
+        variances = []
+        low = 0
+        for index, history in enumerate(histories):
+            start = starts[index]
+            level_variances = contents[index][1] if start else empty
+            if incoming_variances.shape[0]:
+                level_variances = (
+                    np.concatenate((level_variances, incoming_variances))
+                    if start else incoming_variances
+                )
+            variances.append(level_variances)
+            high = low + pairs_per_level[index]
+            incoming_variances = (
+                level_variances[0 : 2 * (high - low) : 2] + level_variances[1 : 2 * (high - low) : 2]
+            ) + terms[low:high]
+            low = high
+        base = self._offsets[level] if level < len(self._offsets) else self.totals.shape[0] - 1
+        ends = list(accumulate((history.shape[0] for history in histories), initial=base))
+        offsets = ends[:-1]
+        self._offsets[level:] = offsets
+        self._ends[level:] = ends[1:]
+        self._first[level:] = firsts
+        self.totals = np.concatenate([self.totals[:base]] + histories + [np.zeros(1)])
+        self.variances = np.concatenate([self.variances[:base]] + variances + [np.zeros(1)])
+        self._sentinel = self.totals.shape[0] - 1
+        stacked = np.asarray(arrivals)
+        column = np.asarray(offsets)[:, None]
+        self._begin = np.concatenate((self._begin[:level], 2 * stacked[1:] + column))
+        self._end = np.concatenate(
+            (self._end[:level], stacked[:-1] + (np.asarray(starts)[:, None] + column))
+        )
+        if self._sizes.shape[0] != self._begin.shape[0] * self._slots.shape[0]:
+            # Bucket size of every layout column, oldest (top) level first.
+            self._sizes = np.repeat(
+                2.0 ** np.arange(self._begin.shape[0] - 1, -1, -1), self._slots.shape[0]
+            )
+
+    def layout(self, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The buckets of ``states`` as ``(states x columns)`` arrays of
+        totals and sizes, oldest first.
+
+        Every level has ``max_buckets + 1`` columns, the most it holds at a
+        state; unused columns are gaps of size 0 and total 0.0.
+        """
+        self._settle(int(states[-1]))
+        slots = self._begin[::-1, states].T[:, :, None] + self._slots
+        used = slots < self._end[::-1, states].T[:, :, None]
+        slots = np.where(used, slots, self._sentinel).reshape(states.shape[0], -1)
+        sizes = np.where(used.reshape(states.shape[0], -1), self._sizes, 0.0)
+        return self.totals[slots], sizes
+
+    def buckets(self, state: int) -> Tuple[List[float], List[int], List[float]]:
+        """The bucket totals, sizes and variances of ``state``, oldest
+        first."""
+        self._settle(state)
+        begin = self._begin[:, state].tolist()
+        end = self._end[:, state].tolist()
+        totals: List[float] = []
+        sizes: List[int] = []
+        variances: List[float] = []
+        for level in range(len(begin) - 1, -1, -1):
+            low, high = begin[level], end[level]
+            if high > low:
+                totals += self.totals[low:high].tolist()
+                sizes += [1 << level] * (high - low)
+                variances += self.variances[low:high].tolist()
+        return totals, sizes, variances
+
+    def drop(self, state: int, drops: int) -> None:
+        """Drop the ``drops`` oldest buckets of ``state``.
+
+        The levels that lose buckets must re-run their schedule from there,
+        with the arrivals the level below still sends them.  Until the
+        lowest of them holds ``max_buckets + 2`` buckets again it merges
+        nothing, so the levels above receive nothing either: their later
+        states are their buckets after the drop, and the lowest one's are
+        those plus its arrivals.  The slices say so directly, and the re-run
+        waits until a later state is needed (:meth:`_settle`); further cuts
+        before then move its start to their state and, if they drop lower,
+        its lowest level down.
+        """
+        begin = self._begin[:, state].tolist()
+        end = self._end[:, state].tolist()
+        level = len(begin)
+        while drops:
+            level -= 1
+            lost = min(drops, end[level] - begin[level])
+            begin[level] += lost
+            drops -= lost
+        if self._pending is not None:
+            level = min(level, self._pending)
+        self._pending = level
+        self._base = state
+        later = slice(state, None)
+        self._begin[level:, later] = np.asarray(begin[level:])[:, None]
+        self._end[level + 1 :, later] = np.asarray(end[level + 1 :])[:, None]
+        for above in range(level + 1, len(begin)):
+            if self._first[above] > state:
+                self._first[above] = self.states
+        # The lowest level merges once it holds max_buckets + 2.
+        self._valid = state - 1 + int(
+            np.searchsorted(self._end[level, state:], begin[level] + self._max_buckets + 1, "right")
+        )
+
+    def _settle(self, state: int) -> None:
+        """Re-run the levels a drop left pending if ``state`` needs it."""
+        if self._pending is None or state <= self._valid:
+            return
+        level, base = self._pending, self._base
+        begin = self._begin[:, base].tolist()
+        end = self._end[:, base].tolist()
+        contents = [
+            (self.totals[begin[above] : end[above]], self.variances[begin[above] : end[above]])
+            for above in range(level, len(begin))
+            if self._first[above] <= base
+        ]
+        arrivals = slice(end[level], self._ends[level])
+        self._pending = None
+        self._run(
+            level,
+            contents,
+            self.totals[arrivals],
+            self.variances[arrivals],
+            self._end[level] - end[level],
+        )
+
+    def histogram(self, state: int) -> Tuple[List[List[float]], List[List[float]]]:
+        """The histogram at ``state``: bucket totals and variances per
+        level, oldest first."""
+        self._settle(state)
+        levels = sum(first <= state for first in self._first)
+        begin = self._begin[:levels, state].tolist()
+        end = self._end[:levels, state].tolist()
+        return (
+            [self.totals[low:high].tolist() for low, high in zip(begin, end)],
+            [self.variances[low:high].tolist() for low, high in zip(begin, end)],
+        )

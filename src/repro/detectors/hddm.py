@@ -150,72 +150,75 @@ class HddmA(DriftDetector):
         warning_log = math.log(1.0 / self._warning_confidence)
         position = 0
         limit = self._BATCH_CHUNK
-        while position < n:
-            # Bounded segments keep the whole call O(n) even on streams where
-            # drifts (which restart the closed form) are frequent.
-            segment = arr[position : position + limit]
-            count = segment.shape[0]
-            sums, counts, means = seeded_segment_means(
-                self._total_sum, self._total_count, segment
-            )
-            bounds = means + value_range * np.sqrt(drift_log / (2.0 * counts))
-
-            # The best-prefix update uses strict <, so ties keep the earlier
-            # prefix, exactly like the scalar code.
-            change_index = seeded_running_argmin(
-                bounds, self._best_bound, strict=True
-            )
-            gather = np.maximum(change_index, 0)
-            best_count = np.where(
-                change_index >= 0, counts[gather], float(self._best_count)
-            )
-            best_sum = np.where(change_index >= 0, sums[gather], self._best_sum)
-
-            recent_count = counts - best_count
-            valid = (recent_count >= 1.0) & (best_count >= 1.0)
-            safe_recent = np.where(valid, recent_count, 1.0)
-            safe_best = np.where(valid, best_count, 1.0)
-            recent_mean = (sums - best_sum) / safe_recent
-            best_mean = best_sum / safe_best
-            harmonic = 1.0 / (1.0 / safe_recent + 1.0 / safe_best)
-            difference = recent_mean - best_mean
-            drift = valid & (
-                difference
-                > value_range * np.sqrt(drift_log / (2.0 * harmonic))
-            )
-            warning = (
-                valid
-                & ~drift
-                & (
-                    difference
-                    > value_range * np.sqrt(warning_log / (2.0 * harmonic))
+        # Non-finite values make inf - inf and the like; the scalar loop
+        # computes the same NaNs silently, in Python floats.
+        with np.errstate(all="ignore"):
+            while position < n:
+                # Bounded segments keep the whole call O(n) even on streams where
+                # drifts (which restart the closed form) are frequent.
+                segment = arr[position : position + limit]
+                count = segment.shape[0]
+                sums, counts, means = seeded_segment_means(
+                    self._total_sum, self._total_count, segment
                 )
-            )
+                bounds = means + value_range * np.sqrt(drift_log / (2.0 * counts))
 
-            drift_positions = np.flatnonzero(drift)
-            if drift_positions.size == 0:
-                for rel in np.flatnonzero(warning):
+                # The best-prefix update uses strict <, so ties keep the earlier
+                # prefix, exactly like the scalar code.
+                change_index = seeded_running_argmin(
+                    bounds, self._best_bound, strict=True
+                )
+                gather = np.maximum(change_index, 0)
+                best_count = np.where(
+                    change_index >= 0, counts[gather], float(self._best_count)
+                )
+                best_sum = np.where(change_index >= 0, sums[gather], self._best_sum)
+
+                recent_count = counts - best_count
+                valid = (recent_count >= 1.0) & (best_count >= 1.0)
+                safe_recent = np.where(valid, recent_count, 1.0)
+                safe_best = np.where(valid, best_count, 1.0)
+                recent_mean = (sums - best_sum) / safe_recent
+                best_mean = best_sum / safe_best
+                harmonic = 1.0 / (1.0 / safe_recent + 1.0 / safe_best)
+                difference = recent_mean - best_mean
+                drift = valid & (
+                    difference
+                    > value_range * np.sqrt(drift_log / (2.0 * harmonic))
+                )
+                warning = (
+                    valid
+                    & ~drift
+                    & (
+                        difference
+                        > value_range * np.sqrt(warning_log / (2.0 * harmonic))
+                    )
+                )
+
+                drift_positions = np.flatnonzero(drift)
+                if drift_positions.size == 0:
+                    for rel in np.flatnonzero(warning):
+                        warning_indices.append(position + int(rel))
+                    self._total_count += count
+                    self._total_sum = float(sums[-1])
+                    final_change = int(change_index[-1])
+                    if final_change >= 0:
+                        self._best_count = int(counts[final_change])
+                        self._best_sum = float(sums[final_change])
+                        self._best_bound = float(bounds[final_change])
+                    position += count
+                    limit = min(limit * 4, self._BATCH_CHUNK)
+                    continue
+
+                drift_rel = int(drift_positions[0])
+                for rel in np.flatnonzero(warning[:drift_rel]):
                     warning_indices.append(position + int(rel))
-                self._total_count += count
-                self._total_sum = float(sums[-1])
-                final_change = int(change_index[-1])
-                if final_change >= 0:
-                    self._best_count = int(counts[final_change])
-                    self._best_sum = float(sums[final_change])
-                    self._best_bound = float(bounds[final_change])
-                position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
-                continue
-
-            drift_rel = int(drift_positions[0])
-            for rel in np.flatnonzero(warning[:drift_rel]):
-                warning_indices.append(position + int(rel))
-            drift_index = position + drift_rel
-            drift_indices.append(drift_index)
-            warning_indices.append(drift_index)
-            self._init_state()
-            position = drift_index + 1
-            limit = self._BATCH_RESTART
+                drift_index = position + drift_rel
+                drift_indices.append(drift_index)
+                warning_indices.append(drift_index)
+                self._init_state()
+                position = drift_index + 1
+                limit = self._BATCH_RESTART
 
         return self._finish_batch(
             n, drift_indices, warning_indices, DriftType.MEAN

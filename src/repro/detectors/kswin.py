@@ -10,14 +10,14 @@ variance-sensitive behaviour.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import re
 from collections import deque
-from itertools import chain
-from typing import Deque, Iterable, List, Sequence
+from typing import Deque, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.base import (
     BatchResult,
@@ -31,9 +31,176 @@ from repro.exceptions import ConfigurationError
 __all__ = ["Kswin"]
 
 #: Consecutive tests evaluated by one vectorised block of ``update_batch``.
-#: A drift inside a block costs a redraw of the index sets up to the drift
-#: element, so larger blocks trade vector width for redraw work.
-_TEST_BLOCK = 64
+#: A drift inside a block wastes the tests after it, so larger blocks trade
+#: vector width for wasted work.
+_TEST_BLOCK = 128
+#: Cap on the generator words one block draws ahead (4 bytes each); large
+#: ``stat_size`` configurations get fewer tests per block instead.
+_BLOCK_WORDS = 1 << 16
+#: Largest value width the pool-branch pattern matches as code points:
+#: values of more than 8 bits are shifted past the Basic Multilingual Plane
+#: (``re`` compiles such classes as ranges instead of 64K-entry bitmaps, in
+#: time linear in ``stat_size``), and ``chr`` stops at 0x10FFFF.
+_MAX_POOL_BITS = 20
+_WIDE_OFFSET = 0x10000
+
+
+class _IndexSampler:
+    """Bulk, exact ``random.Random.sample(range(n), k)``.
+
+    ``sample`` draws every index with ``_randbelow(m)``: take the top
+    ``m.bit_length()`` bits of one 32-bit Mersenne Twister word and reject
+    values ``>= m``.  ``getrandbits(32 * words)`` returns the same words,
+    least significant first, so a block of sample calls can be decided from
+    one bulk draw; the generator is then set back and advanced by exactly
+    the words the calls consume.  The two branches of ``sample`` are
+    emulated as CPython implements them:
+
+    * *pool* (``n <= setsize``): draw ``i`` is ``randbelow(n - i)`` into a
+      pool whose chosen slot is refilled from its end.  Each word is encoded
+      as a character of its top ``n.bit_length()`` bits; draw ``i`` accepts
+      the characters below a draw-specific limit, so the accept/reject chain
+      of a whole block is one regular language, and one ``re`` split
+      captures every accepted word.  The pool refills run vectorised across
+      the block's calls.
+    * *set* (``n > setsize``): every draw is ``randbelow(n)``, redrawn while
+      it repeats an index of the same call.
+
+    ``tests/unit/test_kswin_sampler.py`` pins the emulation against
+    ``Random.sample`` on every supported Python.
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self.n = n
+        self.k = k
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        self.pool = n <= setsize
+        self.bits = n.bit_length()
+        #: Whether the words can be encoded for the pool-branch pattern.
+        self.exact = not self.pool or self.bits <= _MAX_POOL_BITS
+        bounds = [n - i for i in range(k)] if self.pool else [n] * k
+        widths = [bound.bit_length() for bound in bounds]
+        # Draw ``i`` reads the top ``widths[i]`` bits, i.e. the top ``bits``
+        # shifted right by ``down[i]``; it accepts a top-``bits`` value below
+        # ``bound << down``.
+        self.down = np.asarray([self.bits - width for width in widths], dtype=np.uint32)
+        self.expected_words = sum((1 << width) / bound for bound, width in zip(bounds, widths))
+        if not self.pool:
+            # Repeats are redrawn too: about k * k / (2 n) extra draws.
+            self.expected_words *= 1.0 + k / (2.0 * n)
+        self.block = max(1, min(_TEST_BLOCK, int(_BLOCK_WORDS // self.expected_words)))
+        if self.pool and self.exact:
+            self.offset = 0 if self.bits <= 8 else _WIDE_OFFSET
+            top = (1 << self.bits) - 1
+            self.pattern = re.compile(
+                "".join(
+                    f"[{self._code(bound << shift)}-{self._code(top)}]*+"
+                    f"([{self._code(0)}-{self._code((bound << shift) - 1)}])"
+                    for bound, shift in zip(bounds, self.down.tolist())
+                )
+            )
+            # Slot ``n - 1 - i`` refills the chosen slot of draw ``i``.
+            self.refill = n - 1 - np.arange(k)
+
+    def _code(self, value: int) -> str:
+        """The pattern escape of the character that encodes ``value``."""
+        return f"\\U{value + self.offset:08x}"
+
+    def draw(self, rng: random.Random, count: int) -> np.ndarray:
+        """The ``(count, k)`` results of the next ``count`` calls of
+        ``rng.sample(range(n), k)``; ``rng`` is left where they leave it."""
+        draws = self.skip(rng, count)
+        return self._pool_picks(draws) if self.pool else draws
+
+    def skip(self, rng: random.Random, count: int) -> np.ndarray:
+        """Advance ``rng`` past ``count`` sample calls; returns their
+        ``randbelow`` draws (the results themselves in the set branch)."""
+        start = rng.getstate()
+        words = _words(rng, int(count * self.expected_words * 1.15) + 32)
+        if self.pool:
+            draws, used = self._pool_draws(rng, words, count)
+        else:
+            draws, used = self._set_draws(rng, words, count)
+        rng.setstate(start)
+        rng.getrandbits(32 * used)
+        return draws
+
+    def _pool_draws(
+        self, rng: random.Random, words: np.ndarray, count: int
+    ) -> Tuple[np.ndarray, int]:
+        k = self.k
+        while True:
+            text = ((words >> (32 - self.bits)) + self.offset).tobytes().decode("utf-32-le")
+            # ``count`` back-to-back matches, each a group of k one-word
+            # captures, and the unconsumed rest; a shortfall shows as fewer
+            # pieces or as a non-empty piece between two matches.
+            pieces = self.pattern.split(text, count)
+            accepted = "".join(pieces[:-1])
+            if len(pieces) == count * (k + 1) + 1 and len(accepted) == count * k:
+                break
+            words = np.concatenate((words, _words(rng, words.shape[0] // 2 + 32)))
+        draws = np.frombuffer(accepted.encode("utf-32-le"), "<u4") - self.offset
+        draws = (draws.reshape(count, k) >> self.down).astype(np.intp)
+        return draws, len(text) - len(pieces[-1])
+
+    def _pool_picks(self, draws: np.ndarray) -> np.ndarray:
+        """Run the pool of every sample call through its draws at once."""
+        count = draws.shape[0]
+        n = self.n
+        # Slot ``j`` of call ``c`` is ``pool[c * n + j]``.
+        base = np.arange(count) * n
+        chosen = (draws + base[:, None]).T.copy()
+        refill = self.refill[:, None] + base
+        pool = np.tile(np.arange(n), count)
+        picks = np.empty((self.k, count), dtype=np.intp)
+        take, put = pool.take, pool.put
+        for slots, refills, out in zip(chosen, refill, picks):
+            take(slots, out=out)
+            put(slots, take(refills))
+        return picks.T
+
+    def _set_draws(
+        self, rng: random.Random, words: np.ndarray, count: int
+    ) -> Tuple[np.ndarray, int]:
+        n, k = self.n, self.k
+        values = words >> (32 - self.bits)
+        valid = values < n
+        accepted = values[valid].tolist()
+        # Word index of every accepted draw, to count the words consumed.
+        positions = np.flatnonzero(valid)
+        picks: List[int] = []
+        cursor = 0
+        for _ in range(count):
+            chosen = dict.fromkeys(accepted[cursor : cursor + k])
+            cursor = min(cursor + k, len(accepted))
+            while len(chosen) < k:
+                if cursor == len(accepted):
+                    more = _words(rng, words.shape[0] // 2 + 32)
+                    more_values = more >> (32 - self.bits)
+                    more_valid = more_values < n
+                    accepted.extend(more_values[more_valid].tolist())
+                    positions = np.concatenate(
+                        (positions, words.shape[0] + np.flatnonzero(more_valid))
+                    )
+                    words = np.concatenate((words, more))
+                    continue
+                chosen[accepted[cursor]] = None
+                cursor += 1
+            picks.extend(chosen)
+        return np.asarray(picks, dtype=np.intp).reshape(count, k), int(positions[cursor - 1]) + 1
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The generator's next ``count`` 32-bit words, in draw order."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+
+
+@functools.lru_cache(maxsize=16)
+def _index_sampler(n: int, k: int) -> _IndexSampler:
+    """The shared sampler of every detector sampling ``k`` of ``n``."""
+    return _IndexSampler(n, k)
 
 
 def _ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -58,11 +225,12 @@ def _ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def _ks_statistics(recent: np.ndarray, older: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_ks_statistic` of two ``(tests, size)`` sample arrays.
+def _ks_statistics(samples: np.ndarray, n_a: int) -> np.ndarray:
+    """Row-wise :func:`_ks_statistic` of ``samples[:, :n_a]`` against
+    ``samples[:, n_a:]``.
 
-    Each row is merged and sorted once; the right-continuous ECDF counts of
-    both samples at every sorted position are integer cumulative sums of the
+    Each row is sorted once; the right-continuous ECDF counts of both
+    samples at every sorted position are integer cumulative sums of the
     sample labels.  ``np.searchsorted(side="right")`` evaluates a tied value
     at the end of its tie group, so only group ends are candidates.  NaN
     sorts last and counts the whole of both samples, so NaN positions (and
@@ -70,14 +238,13 @@ def _ks_statistics(recent: np.ndarray, older: np.ndarray) -> np.ndarray:
     ``count_a / n_a - count_b / n_b`` exactly as in the scalar statistic,
     so every row is bit-identical to :func:`_ks_statistic`.
     """
-    n_a = recent.shape[1]
-    n_b = older.shape[1]
-    merged = np.concatenate((recent, older), axis=1)
+    size = samples.shape[1]
+    n_b = size - n_a
     # Ties may land in any order: only the counts at a group's end are used.
-    count_a = np.add.accumulate(np.argsort(merged, axis=1) < n_a, axis=1, dtype=np.intp)
-    count_b = np.arange(1, n_a + n_b + 1) - count_a
+    count_a = np.add.accumulate(np.argsort(samples, axis=1) < n_a, axis=1, dtype=np.intp)
+    count_b = np.arange(1, size + 1) - count_a
     distance = np.abs(count_a[:, :-1] / n_a - count_b[:, :-1] / n_b)
-    ordered = np.sort(merged, axis=1)
+    ordered = np.sort(samples, axis=1)
     head = ordered[:, :-1]
     group_end = (head != ordered[:, 1:]) & (head == head)
     return np.max(distance, axis=1, where=group_end, initial=0.0)
@@ -176,19 +343,22 @@ class Kswin(DriftDetector):
 
         Partially filled windows (after construction and after every drift,
         when the window shrank to the recent sample) are bulk-extended without
-        a test.  Full windows are tested ``_TEST_BLOCK`` elements at a time:
+        a test.  Full windows are tested a block of elements at a time:
         ``random.Random.sample`` picks positions independently of the
         population's contents, so the block draws its index sets up front
-        from ``range(window_size - stat_size)`` (consuming the generator
-        exactly like sampling the older segment itself), gathers every
-        test's older sample and recent slice from one buffer, and evaluates
-        all KS statistics with :func:`_ks_statistics`.  When a test in the
-        block fires, the generator is rewound to the block start and the
-        index sets are redrawn only through the drift element, so the random
-        state matches scalar mode again.
+        from ``range(window_size - stat_size)`` with :class:`_IndexSampler`
+        (consuming the generator exactly like sampling the older segment
+        itself), gathers every test's older sample and recent slice from one
+        buffer, and evaluates all KS statistics with :func:`_ks_statistics`.
+        When a test in the block fires, the generator is set back to the block
+        start and advanced past the sample calls through the drift element
+        only, so the random state matches scalar mode again.
         """
         if collect_stats or type(self)._update_one is not Kswin._update_one:
             return super().update_batch(values, collect_stats=collect_stats)
+        sampler = _index_sampler(self._window_size - self._stat_size, self._stat_size)
+        if not sampler.exact:
+            return super().update_batch(values)
         arr = as_value_array(values)
         n = arr.shape[0]
         if n == 0:
@@ -197,11 +367,10 @@ class Kswin(DriftDetector):
         window_size = self._window_size
         stat_size = self._stat_size
         older_size = window_size - stat_size
-        positions = range(older_size)
         rng = self._rng
-        rng_sample = rng.sample
         critical = self._critical
         window = np.asarray(self._window, dtype=np.float64)
+        recent_offsets = np.arange(older_size, window_size)
 
         index = 0
         while index < n:
@@ -213,28 +382,25 @@ class Kswin(DriftDetector):
                 index += take
                 if index >= n:
                     break
-            block = min(_TEST_BLOCK, n - index)
+            block = min(sampler.block, n - index)
             # Test ``t`` of the block sees the window buffer[t : t + window_size].
             buffer = np.concatenate(
                 (window[window.shape[0] - (window_size - 1) :], arr[index : index + block])
             )
             start_state = rng.getstate()
-            picks = np.fromiter(
-                chain.from_iterable(rng_sample(positions, stat_size) for _ in range(block)),
-                np.intp,
-                block * stat_size,
-            ).reshape(block, stat_size)
+            # Row ``t``: the recent slice, then the older sample, of test ``t``.
+            picks = np.empty((block, 2 * stat_size), dtype=np.intp)
+            picks[:, :stat_size] = recent_offsets
+            picks[:, stat_size:] = sampler.draw(rng, block)
             picks += np.arange(block)[:, None]
-            recent = sliding_window_view(buffer, stat_size)[older_size : older_size + block]
-            fired = np.flatnonzero(_ks_statistics(recent, buffer[picks]) > critical)
+            fired = np.flatnonzero(_ks_statistics(buffer[picks], stat_size) > critical)
             if fired.size == 0:
                 window = buffer[block - 1 :]
                 index += block
                 continue
             first = int(fired[0])
             rng.setstate(start_state)
-            for _ in range(first + 1):
-                rng_sample(positions, stat_size)
+            sampler.skip(rng, first + 1)
             drift_indices.append(index + first)
             # Keep only the recent sample as the new history.
             window = buffer[first + older_size : first + window_size]

@@ -133,39 +133,42 @@ class PageHinkley(DriftDetector):
         min_n = self._min_num_instances
         position = 0
         limit = self._BATCH_CHUNK
-        while position < n:
-            # Bounded segments keep the whole call O(n) even on streams where
-            # drifts (which restart the closed form) are frequent.
-            segment = arr[position : position + limit]
-            count = segment.shape[0]
-            sums, _, means = seeded_segment_means(self._sum, self._n, segment)
-            deviations = ((segment - means) - self._delta).tolist()
+        # Non-finite values make inf - inf and the like; the scalar loop
+        # computes the same NaNs silently, in Python floats.
+        with np.errstate(all="ignore"):
+            while position < n:
+                # Bounded segments keep the whole call O(n) even on streams where
+                # drifts (which restart the closed form) are frequent.
+                segment = arr[position : position + limit]
+                count = segment.shape[0]
+                sums, _, means = seeded_segment_means(self._sum, self._n, segment)
+                deviations = ((segment - means) - self._delta).tolist()
 
-            cumulative = self._cumulative
-            minimum = self._minimum
-            n_before = self._n
-            drift_rel = -1
-            for rel, deviation in enumerate(deviations):
-                cumulative = alpha * cumulative + deviation
-                minimum = min(minimum, cumulative)
-                if n_before + rel + 1 < min_n:
+                cumulative = self._cumulative
+                minimum = self._minimum
+                n_before = self._n
+                drift_rel = -1
+                for rel, deviation in enumerate(deviations):
+                    cumulative = alpha * cumulative + deviation
+                    minimum = min(minimum, cumulative)
+                    if n_before + rel + 1 < min_n:
+                        continue
+                    if cumulative - minimum > threshold:
+                        drift_rel = rel
+                        break
+                if drift_rel < 0:
+                    self._n += count
+                    self._sum = float(sums[-1])
+                    self._mean = float(means[-1])
+                    self._cumulative = cumulative
+                    self._minimum = minimum
+                    position += count
+                    limit = min(limit * 4, self._BATCH_CHUNK)
                     continue
-                if cumulative - minimum > threshold:
-                    drift_rel = rel
-                    break
-            if drift_rel < 0:
-                self._n += count
-                self._sum = float(sums[-1])
-                self._mean = float(means[-1])
-                self._cumulative = cumulative
-                self._minimum = minimum
-                position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
-                continue
-            drift_indices.append(position + drift_rel)
-            self._init_state()
-            position += drift_rel + 1
-            limit = self._BATCH_RESTART
+                drift_indices.append(position + drift_rel)
+                self._init_state()
+                position += drift_rel + 1
+                limit = self._BATCH_RESTART
 
         return self._finish_batch(
             n, drift_indices, list(drift_indices), DriftType.MEAN

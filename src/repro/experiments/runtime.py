@@ -112,14 +112,18 @@ def run_runtime_comparison(
     detectors: Optional[Dict[str, Callable[[], DriftDetector]]] = None,
     include_batch: bool = True,
     batch_chunk_size: int = DEFAULT_BATCH_CHUNK,
+    drift_period: Optional[int] = None,
 ) -> List[RuntimeMeasurement]:
     """Measure per-element cost for every detector at every stream length.
 
-    A drift-free Bernoulli stream is used so windows grow to their maximum and
-    the steady-state cost is what gets measured.  When ``include_batch`` is
-    set, every detector with a vectorised ``update_batch`` fast path is
-    measured a second time in chunked batch mode (on a fresh instance, with
-    its pre-computable tables built before the clock starts).
+    By default a drift-free Bernoulli stream is used so windows grow to their
+    maximum and the steady-state cost is what gets measured.  With
+    ``drift_period`` the error rate instead switches between 0.1 and 0.55
+    every ``drift_period`` values, so the detectors keep drifting and
+    shrinking their windows.  When ``include_batch`` is set, every detector
+    with a vectorised ``update_batch`` fast path is measured a second time in
+    chunked batch mode (on a fresh instance, with its pre-computable tables
+    built before the clock starts).
     """
     if detectors is None:
         detectors = {
@@ -137,7 +141,11 @@ def run_runtime_comparison(
     rng = np.random.default_rng(seed)
     measurements: List[RuntimeMeasurement] = []
     for length in stream_lengths:
-        values = (rng.random(length) < 0.3).astype(np.float64)
+        if drift_period is None:
+            rates = np.full(length, 0.3)
+        else:
+            rates = np.where((np.arange(length) // drift_period) % 2 == 0, 0.1, 0.55)
+        values = (rng.random(length) < rates).astype(np.float64)
         for name, factory in detectors.items():
             detector = factory()
             cost = measure_update_cost(detector, values)

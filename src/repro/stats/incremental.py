@@ -442,12 +442,13 @@ class PrefixStats:
     def range_sum(self, start: int, stop: int) -> float:
         """Sum of elements in the logical range ``[start, stop)``."""
         lo, hi = self._bounds(start, stop)
-        return float(self._prefix[hi] - self._prefix[lo])
+        # Python floats: ``inf - inf`` is NaN without a numpy RuntimeWarning.
+        return float(self._prefix[hi]) - float(self._prefix[lo])
 
     def range_sum_sq(self, start: int, stop: int) -> float:
         """Sum of squared elements in the logical range ``[start, stop)``."""
         lo, hi = self._bounds(start, stop)
-        return float(self._prefix_sq[hi] - self._prefix_sq[lo])
+        return float(self._prefix_sq[hi]) - float(self._prefix_sq[lo])
 
     def mean(self, start: int, stop: int) -> float:
         """Mean of elements in ``[start, stop)`` (0.0 for an empty range)."""

@@ -3,7 +3,8 @@
 The golden suite feeds fixed streams in fixed chunk sizes; here hypothesis
 draws short streams full of ties and non-finite values and cuts them at
 arbitrary points, so block ends, drift rollbacks and post-cut restarts land
-anywhere.  Drift indices and the final ``state_dict()`` must equal the scalar
+anywhere.  Default-configured ADWIN also gets long streams with large mean
+shifts, where a cut empties high levels and the block continues past it.  Drift indices and the final ``state_dict()`` must equal the scalar
 ``update`` loop's.  The row-wise KS kernel is also checked directly against the
 scalar statistic, since a wrong NaN or tie rule rarely moves a statistic
 across the critical value.
@@ -76,11 +77,35 @@ def test_adwin_batch_matches_scalar(segments, cuts, clock, max_buckets):
     )
 
 
-@given(segments=_STREAMS, cuts=_CUTS, seed=st.integers(0, 3))
+# Long 0/1 segments with large mean shifts: cuts drop many buckets from the
+# top levels of a full-size histogram, and come in bursts.
+_SHIFTS = st.lists(
+    st.tuples(st.integers(min_value=200, max_value=1500), st.sampled_from([0.05, 0.3, 0.6, 0.9])),
+    min_size=2,
+    max_size=5,
+)
+
+
+@given(shifts=_SHIFTS, cuts=st.lists(st.integers(0, 6000), max_size=6), seed=st.integers(0, 99))
+@settings(max_examples=6, deadline=None)
+def test_default_adwin_batch_matches_scalar_on_mean_shifts(shifts, cuts, seed):
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([(rng.random(length) < p).astype(np.float64) for length, p in shifts])
+    _assert_batch_matches_scalar(Adwin, values, cuts)
+
+
+# With stat_size 6, random.Random.sample switches from its pool branch to its
+# set branch above 85 older values: window sizes 91 and 92 sit either side.
+@given(
+    segments=_STREAMS,
+    cuts=_CUTS,
+    seed=st.integers(0, 3),
+    window_size=st.sampled_from([16, 91, 92]),
+)
 @settings(max_examples=40, deadline=None)
-def test_kswin_batch_matches_scalar(segments, cuts, seed):
+def test_kswin_batch_matches_scalar(segments, cuts, seed, window_size):
     _assert_batch_matches_scalar(
-        lambda: Kswin(alpha=0.2, window_size=16, stat_size=6, seed=seed),
+        lambda: Kswin(alpha=0.2, window_size=window_size, stat_size=6, seed=seed),
         _stream(segments),
         cuts,
     )
@@ -94,6 +119,5 @@ def test_kswin_batch_matches_scalar(segments, cuts, seed):
 @settings(max_examples=60, deadline=None)
 def test_ks_kernel_matches_scalar_statistic(samples):
     rows = np.asarray(samples)
-    recent, older = rows[:, :3], rows[:, 3:]
-    expected = [_ks_statistic(a, b) for a, b in zip(recent, older)]
-    assert _ks_statistics(recent, older).tolist() == expected
+    expected = [_ks_statistic(row[:3], row[3:]) for row in rows]
+    assert _ks_statistics(rows, 3).tolist() == expected

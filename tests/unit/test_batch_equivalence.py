@@ -182,6 +182,7 @@ def _batched(detector: DriftDetector, values: np.ndarray, chunk: int):
     return drifts, warnings
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [1, 7, 64, 10**9])
 @pytest.mark.parametrize("stream_name", sorted(STREAMS))
 @pytest.mark.parametrize("detector_name", sorted(DETECTORS))
